@@ -139,6 +139,13 @@ mod tests {
             let units =
                 after.samples.iter().find(|s| s.name == "samc.compress.units").expect("registered");
             assert!(!units.value.is_zero(), "samc.compress.units still zero");
+        }
+        crate::measure(crate::Algorithm::Sadc, cce_isa::Isa::Mips, &text, 32).unwrap();
+        let after = snapshot();
+        if enabled() {
+            let train =
+                after.samples.iter().find(|s| s.name == "sadc.train.span").expect("registered");
+            assert!(!train.value.is_zero(), "sadc.train.span still zero");
         } else {
             assert!(after.is_all_zero());
         }

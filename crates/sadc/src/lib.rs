@@ -54,10 +54,12 @@
 
 mod mips;
 pub mod obs;
+#[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
 mod serialize;
 mod tokens;
 mod x86;
 
 pub use mips::{MipsSadc, MipsSadcConfig, Template, TemplateItem};
-pub use tokens::TokenStats;
 pub use x86::{X86Sadc, X86SadcConfig};

@@ -1,11 +1,11 @@
 //! SADC for MIPS: dictionary over operations, registers and immediates.
 
-use crate::tokens::{replace_in_blocks, TokenStats};
+use crate::tokens::{self, replace_in_slice, Alphabet, Key};
 use cce_bitstream::{BitReader, BitWriter};
 use cce_codec::{BlockCodec, BlockImage, CodecError};
 use cce_huffman::CodeBook;
 use cce_isa::mips::{decode_text, ImmKind, Instruction, Operation};
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Display name used in errors and tables.
 const NAME: &str = "SADC";
@@ -48,7 +48,7 @@ impl TemplateItem {
     }
 
     /// Whether this item pulls a 16-bit immediate from the stream.
-    fn stream_imm16(&self) -> bool {
+    pub(crate) fn stream_imm16(&self) -> bool {
         self.fixed_imm.is_none() && matches!(self.op.operand_spec().imm, ImmKind::Imm16)
     }
 
@@ -131,6 +131,60 @@ pub(crate) enum Candidate {
     Imm(usize, u16),
 }
 
+impl Candidate {
+    /// The dictionary entry this rule adds to `templates`.
+    pub(crate) fn template(&self, templates: &[Template]) -> Result<Template, &'static str> {
+        let get = |t: &usize| templates.get(*t).ok_or("rule references an unknown token");
+        let single = |t: &usize, what: &'static str| {
+            let items = &get(t)?.items;
+            if items.len() == 1 {
+                Ok(items[0].clone())
+            } else {
+                Err(what)
+            }
+        };
+        let items = match self {
+            Candidate::Pair(a, b) => [get(a)?, get(b)?].map(|t| t.items.clone()).concat(),
+            Candidate::Triple(a, b, c) => {
+                [get(a)?, get(b)?, get(c)?].map(|t| t.items.clone()).concat()
+            }
+            Candidate::Regs(t, regs) => {
+                let mut item = single(t, "register specialization of a group")?;
+                if regs.len() != item.op.operand_spec().reg_fields.len() {
+                    return Err("register specialization arity");
+                }
+                // Register and shamt fields are 5 bits wide; a tampered
+                // model must not smuggle wider values past the
+                // instruction generator.
+                if regs.iter().any(|&r| r >= 32) {
+                    return Err("register specialization value out of range");
+                }
+                item.fixed_regs = Some(regs.clone());
+                vec![item]
+            }
+            Candidate::Imm(t, imm) => {
+                let mut item = single(t, "immediate specialization of a group")?;
+                item.fixed_imm = Some(*imm);
+                vec![item]
+            }
+        };
+        Ok(Template { items })
+    }
+}
+
+/// A dictionary growth loop: appends learned entries to the templates,
+/// rewrites the per-block token streams with them, and returns the build
+/// rules in insertion order.
+pub(crate) type Grow =
+    fn(&mut Vec<Template>, &mut [Vec<usize>], &[&[Instruction]], &MipsSadcConfig) -> Vec<Candidate>;
+
+/// One base template per operation: the dictionary before any growth.
+pub(crate) fn base_templates() -> Vec<Template> {
+    (0..Operation::COUNT as u8)
+        .map(|id| Template { items: vec![TemplateItem::base(Operation::from_id(id))] })
+        .collect()
+}
+
 /// The trained MIPS SADC codec.
 #[derive(Debug, Clone)]
 pub struct MipsSadc {
@@ -153,6 +207,16 @@ impl MipsSadc {
     /// block size that is not a positive multiple of 4, or a token limit
     /// outside `(Operation::COUNT, 256]`.
     pub fn train(text: &[u8], config: MipsSadcConfig) -> Result<Self, CodecError> {
+        Self::train_with(text, config, grow_dictionary)
+    }
+
+    /// [`Self::train`] with the dictionary growth loop supplied by `grow`.
+    pub(crate) fn train_with(
+        text: &[u8],
+        config: MipsSadcConfig,
+        grow: Grow,
+    ) -> Result<Self, CodecError> {
+        let _span = crate::obs::TRAIN_SPAN.time();
         if text.is_empty() {
             return Err(CodecError::train(NAME, "cannot train on an empty text section"));
         }
@@ -169,73 +233,17 @@ impl MipsSadc {
             ));
         }
         let instructions = decode_text(text).map_err(|e| CodecError::train(NAME, e))?;
-        let insns_per_block = config.block_size / 4;
-        let insn_blocks: Vec<&[Instruction]> = instructions.chunks(insns_per_block).collect();
+        let insn_blocks: Vec<&[Instruction]> = instructions.chunks(config.block_size / 4).collect();
 
         // Start with one base template per operation.
-        let mut templates: Vec<Template> = (0..Operation::COUNT as u8)
-            .map(|id| Template { items: vec![TemplateItem::base(Operation::from_id(id))] })
-            .collect();
+        let mut templates = base_templates();
         let mut token_blocks: Vec<Vec<usize>> = insn_blocks
             .iter()
             .map(|block| block.iter().map(|i| usize::from(i.operation().id())).collect())
             .collect();
 
         // Iterative build: insert the best candidate, re-parse, repeat.
-        let mut rules: Vec<Candidate> = Vec::new();
-        while templates.len() < config.max_tokens {
-            let Some((gain, candidate)) =
-                best_candidate(&templates, &token_blocks, &insn_blocks, &config)
-            else {
-                break;
-            };
-            if gain <= 0 {
-                break;
-            }
-            let new_id = templates.len();
-            rules.push(candidate.clone());
-            match candidate {
-                Candidate::Pair(a, b) => {
-                    let mut items = templates[a].items.clone();
-                    items.extend(templates[b].items.iter().cloned());
-                    templates.push(Template { items });
-                    replace_in_blocks(&mut token_blocks, &[a, b], new_id);
-                }
-                Candidate::Triple(a, b, c) => {
-                    let mut items = templates[a].items.clone();
-                    items.extend(templates[b].items.iter().cloned());
-                    items.extend(templates[c].items.iter().cloned());
-                    templates.push(Template { items });
-                    replace_in_blocks(&mut token_blocks, &[a, b, c], new_id);
-                }
-                Candidate::Regs(t, regs) => {
-                    let mut items = templates[t].items.clone();
-                    items[0].fixed_regs = Some(regs.clone());
-                    templates.push(Template { items });
-                    replace_matching(
-                        &templates,
-                        &mut token_blocks,
-                        &insn_blocks,
-                        t,
-                        new_id,
-                        |insn| insn.register_fields() == regs,
-                    );
-                }
-                Candidate::Imm(t, imm) => {
-                    let mut items = templates[t].items.clone();
-                    items[0].fixed_imm = Some(imm);
-                    templates.push(Template { items });
-                    replace_matching(
-                        &templates,
-                        &mut token_blocks,
-                        &insn_blocks,
-                        t,
-                        new_id,
-                        |insn| insn.imm16() == Some(imm),
-                    );
-                }
-            }
-        }
+        let rules = grow(&mut templates, &mut token_blocks, &insn_blocks, &config);
 
         // Gather stream statistics for the Huffman pass.
         let mut op_freq = vec![0u64; templates.len()];
@@ -301,56 +309,10 @@ impl MipsSadc {
     /// Reconstructs the template table by replaying `rules` over the base
     /// operations (crate-internal, for the deserializer).
     pub(crate) fn templates_from_rules(rules: &[Candidate]) -> Result<Vec<Template>, &'static str> {
-        let mut templates: Vec<Template> = (0..Operation::COUNT as u8)
-            .map(|id| Template { items: vec![TemplateItem::base(Operation::from_id(id))] })
-            .collect();
+        let mut templates = base_templates();
         for rule in rules {
-            let get =
-                |t: usize, templates: &[Template]| -> Result<Vec<TemplateItem>, &'static str> {
-                    templates
-                        .get(t)
-                        .map(|tpl| tpl.items.clone())
-                        .ok_or("rule references an unknown token")
-                };
-            let items = match rule {
-                Candidate::Pair(a, b) => {
-                    let mut items = get(*a, &templates)?;
-                    items.extend(get(*b, &templates)?);
-                    items
-                }
-                Candidate::Triple(a, b, c) => {
-                    let mut items = get(*a, &templates)?;
-                    items.extend(get(*b, &templates)?);
-                    items.extend(get(*c, &templates)?);
-                    items
-                }
-                Candidate::Regs(t, regs) => {
-                    let mut items = get(*t, &templates)?;
-                    if items.len() != 1 {
-                        return Err("register specialization of a group");
-                    }
-                    if regs.len() != items[0].op.operand_spec().reg_fields.len() {
-                        return Err("register specialization arity");
-                    }
-                    // Register and shamt fields are 5 bits wide; a tampered
-                    // model must not smuggle wider values past the
-                    // instruction generator.
-                    if regs.iter().any(|&r| r >= 32) {
-                        return Err("register specialization value out of range");
-                    }
-                    items[0].fixed_regs = Some(regs.clone());
-                    items
-                }
-                Candidate::Imm(t, imm) => {
-                    let mut items = get(*t, &templates)?;
-                    if items.len() != 1 {
-                        return Err("immediate specialization of a group");
-                    }
-                    items[0].fixed_imm = Some(*imm);
-                    items
-                }
-            };
-            templates.push(Template { items });
+            let template = rule.template(&templates)?;
+            templates.push(template);
         }
         Ok(templates)
     }
@@ -646,15 +608,9 @@ impl BlockCodec for MipsSadc {
     }
 }
 
-/// Single-block version of [`replace_in_blocks`].
-fn replace_in_slice(tokens: &mut Vec<usize>, pattern: &[usize], replacement: usize) {
-    let mut blocks = [std::mem::take(tokens)];
-    replace_in_blocks(&mut blocks, pattern, replacement);
-    *tokens = std::mem::take(&mut blocks[0]);
-}
-
-/// Single-block version of [`replace_matching`].
-fn replace_matching_in_slice(
+/// Replaces occurrences of single-token `old` whose covered instruction
+/// satisfies `predicate` with `new`.
+pub(crate) fn replace_matching_in_slice(
     templates: &[Template],
     tokens: &mut [usize],
     block: &[Instruction],
@@ -672,92 +628,173 @@ fn replace_matching_in_slice(
     }
 }
 
-/// Replaces occurrences of single-token `old` whose covered instruction
-/// satisfies `predicate` with `new`.
-fn replace_matching(
-    templates: &[Template],
+/// Register-specialization candidates: payload = the register fields,
+/// five bits each, first field most significant.
+const REGS: u32 = 2;
+/// Immediate-specialization candidates: payload = the 16-bit immediate.
+const IMM: u32 = 3;
+
+/// The incremental growth loop ([`crate::tokens::grow`]) over MIPS
+/// templates; a [`Grow`].
+fn grow_dictionary(
+    templates: &mut Vec<Template>,
     token_blocks: &mut [Vec<usize>],
     insn_blocks: &[&[Instruction]],
-    old: usize,
-    new: usize,
-    predicate: impl Fn(&Instruction) -> bool,
-) {
-    for (tokens, block) in token_blocks.iter_mut().zip(insn_blocks) {
-        let mut cursor = 0usize;
-        for t in tokens.iter_mut() {
-            let len = templates[*t].items.len();
-            if *t == old && predicate(&block[cursor]) {
-                *t = new;
-            }
-            cursor += len;
+    config: &MipsSadcConfig,
+) -> Vec<Candidate> {
+    let instructions = insn_blocks.iter().flat_map(|block| block.iter());
+    let mut alphabet = MipsAlphabet {
+        facts: templates.iter().map(TokenFacts::of).collect(),
+        templates,
+        regs: instructions
+            .clone()
+            .map(|insn| insn.register_fields().iter().fold(0, |acc, &r| acc << 5 | u32::from(r)))
+            .collect(),
+        imms: instructions.map(|insn| insn.imm16().unwrap_or(0)).collect(),
+        insns_per_block: config.block_size / 4,
+        config: *config,
+    };
+    let first = alphabet.templates.len();
+    tokens::grow(&mut alphabet, token_blocks, config.groups, first, config.max_tokens)
+        .into_iter()
+        .map(|key| alphabet.candidate(key))
+        .collect()
+}
+
+/// Per-token facts the growth loop reads on every block it recounts.
+#[derive(Debug, Clone, Copy)]
+struct TokenFacts {
+    /// Instructions the template covers.
+    len: usize,
+    /// [`Template::storage_bytes`].
+    storage: i64,
+    /// Register fields a register specialization would fix (zero when the
+    /// token cannot be register-specialized).
+    spec_regs: usize,
+    /// Whether the token can be immediate-specialized.
+    spec_imm: bool,
+}
+
+impl TokenFacts {
+    fn of(template: &Template) -> Self {
+        let single = match template.items.as_slice() {
+            [item] => Some(item),
+            _ => None,
+        };
+        Self {
+            len: template.len(),
+            storage: template.storage_bytes() as i64,
+            spec_regs: single
+                .filter(|item| item.fixed_regs.is_none())
+                .map_or(0, |item| item.op.operand_spec().reg_fields.len()),
+            spec_imm: single.is_some_and(TemplateItem::stream_imm16),
         }
     }
 }
 
-/// Scans all candidate classes and returns the best (gain, candidate).
-fn best_candidate(
-    templates: &[Template],
-    token_blocks: &[Vec<usize>],
-    insn_blocks: &[&[Instruction]],
-    config: &MipsSadcConfig,
-) -> Option<(i64, Candidate)> {
-    let mut best: Option<(i64, Candidate)> = None;
-    let mut consider = |gain: i64, candidate: Candidate| {
-        if best.as_ref().is_none_or(|(g, _)| gain > *g) {
-            best = Some((gain, candidate));
-        }
-    };
+/// MIPS candidates for the growth loop: groups plus register and
+/// immediate specializations of single-instruction tokens.
+struct MipsAlphabet<'a> {
+    templates: &'a mut Vec<Template>,
+    facts: Vec<TokenFacts>,
+    /// Packed register fields of every instruction, in text order.
+    regs: Vec<u32>,
+    /// 16-bit immediate of every instruction (zero when it has none).
+    imms: Vec<u16>,
+    /// Block `b` starts at instruction `b * insns_per_block`.
+    insns_per_block: usize,
+    config: MipsSadcConfig,
+}
 
-    if config.groups {
-        let stats = TokenStats::scan(token_blocks);
-        for (&(a, b), &f) in &stats.pairs {
-            let storage = (templates[a].storage_bytes() + templates[b].storage_bytes()) as i64 - 1;
-            consider(i64::from(f) - storage, Candidate::Pair(a, b));
-        }
-        for (&(a, b, c), &f) in &stats.triples {
-            let storage = (templates[a].storage_bytes()
-                + templates[b].storage_bytes()
-                + templates[c].storage_bytes()) as i64
-                - 2;
-            consider(2 * i64::from(f) - storage, Candidate::Triple(a, b, c));
-        }
-    }
-
-    if config.reg_specialization || config.imm_specialization {
-        let mut reg_counts: BTreeMap<(usize, Vec<u8>), u32> = BTreeMap::new();
-        let mut imm_counts: BTreeMap<(usize, u16), u32> = BTreeMap::new();
-        for (tokens, block) in token_blocks.iter().zip(insn_blocks) {
-            let mut cursor = 0usize;
-            for &t in tokens {
-                let template = &templates[t];
-                if template.items.len() == 1 {
-                    let item = &template.items[0];
-                    let insn = &block[cursor];
-                    if config.reg_specialization
-                        && item.fixed_regs.is_none()
-                        && !item.op.operand_spec().reg_fields.is_empty()
-                    {
-                        *reg_counts.entry((t, insn.register_fields())).or_insert(0) += 1;
-                    }
-                    if config.imm_specialization && item.stream_imm16() {
-                        *imm_counts.entry((t, insn.imm16().expect("imm16 op"))).or_insert(0) += 1;
-                    }
-                }
-                cursor += template.items.len();
+impl MipsAlphabet<'_> {
+    /// The rule `key` stands for.
+    fn candidate(&self, key: Key) -> Candidate {
+        match (tokens::group(key), tokens::class(key)) {
+            (Some(g), _) if g.len() == 2 => Candidate::Pair(g[0], g[1]),
+            (Some(g), _) => Candidate::Triple(g[0], g[1], g[2]),
+            (None, REGS) => {
+                let t = tokens::special_token(key);
+                let n = self.facts[t].spec_regs;
+                let packed = tokens::special_payload(key);
+                let regs = (0..n).rev().map(|i| (packed >> (5 * i) & 31) as u8).collect();
+                Candidate::Regs(t, regs)
+            }
+            (None, _) => {
+                Candidate::Imm(tokens::special_token(key), tokens::special_payload(key) as u16)
             }
         }
-        for ((t, regs), f) in reg_counts {
-            let saved = i64::from(f) * regs.len() as i64;
-            let storage = (templates[t].storage_bytes() + regs.len()) as i64;
-            let gain = saved - storage;
-            consider(gain, Candidate::Regs(t, regs));
-        }
-        for ((t, imm), f) in imm_counts {
-            let gain = 2 * i64::from(f) - (templates[t].storage_bytes() + 2) as i64;
-            consider(gain, Candidate::Imm(t, imm));
+    }
+}
+
+impl Alphabet for MipsAlphabet<'_> {
+    fn gain(&self, key: Key, count: u32) -> i64 {
+        let f = i64::from(count);
+        let storage = |t: usize| self.facts[t].storage;
+        match tokens::group(key) {
+            Some(g) if g.len() == 2 => f - (storage(g[0]) + storage(g[1]) - 1),
+            Some(g) => 2 * f - (storage(g[0]) + storage(g[1]) + storage(g[2]) - 2),
+            None => {
+                let t = tokens::special_token(key);
+                if tokens::class(key) == REGS {
+                    let n = self.facts[t].spec_regs as i64;
+                    f * n - (storage(t) + n)
+                } else {
+                    2 * f - (storage(t) + 2)
+                }
+            }
         }
     }
-    best
+
+    fn specializations(
+        &self,
+        block: usize,
+        stream: &[usize],
+        span: Range<usize>,
+        out: &mut Vec<Key>,
+    ) {
+        let mut cursor = block * self.insns_per_block;
+        for (i, &t) in stream.iter().enumerate().take(span.end) {
+            let facts = self.facts[t];
+            if facts.len == 1 && i >= span.start {
+                if self.config.reg_specialization && facts.spec_regs > 0 {
+                    out.push(tokens::special_key(REGS, t, self.regs[cursor]));
+                }
+                if self.config.imm_specialization && facts.spec_imm {
+                    out.push(tokens::special_key(IMM, t, u32::from(self.imms[cursor])));
+                }
+            }
+            cursor += facts.len;
+        }
+    }
+
+    fn specialize(&self, key: Key, block: usize, stream: &mut [usize], new: usize) -> bool {
+        let (old, payload) = (tokens::special_token(key), tokens::special_payload(key));
+        let operand = |i: usize| {
+            if tokens::class(key) == REGS {
+                self.regs[i]
+            } else {
+                u32::from(self.imms[i])
+            }
+        };
+        let mut cursor = block * self.insns_per_block;
+        let mut changed = false;
+        for t in stream.iter_mut() {
+            let len = self.facts[*t].len;
+            if *t == old && operand(cursor) == payload {
+                *t = new;
+                changed = true;
+            }
+            cursor += len;
+        }
+        changed
+    }
+
+    fn insert(&mut self, key: Key) {
+        let template =
+            self.candidate(key).template(self.templates).expect("winners are valid rules");
+        self.facts.push(TokenFacts::of(&template));
+        self.templates.push(template);
+    }
 }
 
 #[cfg(test)]

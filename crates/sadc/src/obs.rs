@@ -16,6 +16,9 @@ pub static DECOMPRESS_SPAN: SpanStat = SpanStat::new();
 pub static DICT_HITS: Counter = Counter::new();
 /// Tokens left as base (non-dictionary) entries.
 pub static DICT_MISSES: Counter = Counter::new();
+/// Wall-clock time spent training SADC codecs (dictionary growth plus
+/// Huffman tables).
+pub static TRAIN_SPAN: SpanStat = SpanStat::new();
 
 /// Records the dictionary outcome for one parsed block's token stream.
 ///
@@ -28,11 +31,12 @@ pub(crate) fn count_dict_tokens(tokens: &[usize], base_tokens: usize) {
 }
 
 /// Descriptors for every metric this crate registers.
-pub fn descriptors() -> [Desc; 4] {
+pub fn descriptors() -> [Desc; 5] {
     [
         Desc::span("sadc.compress.span", "time compressing SADC blocks", &COMPRESS_SPAN),
         Desc::span("sadc.decompress.span", "time decompressing SADC blocks", &DECOMPRESS_SPAN),
         Desc::counter("sadc.dict.hits", "tokens matching a learned dictionary entry", &DICT_HITS),
         Desc::counter("sadc.dict.misses", "tokens left as base entries", &DICT_MISSES),
+        Desc::span("sadc.train.span", "time training SADC codecs", &TRAIN_SPAN),
     ]
 }

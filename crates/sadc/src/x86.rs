@@ -11,13 +11,11 @@
 //! → displacement/immediate bytes.
 
 use crate::mips::{code_error, corrupt_block};
-use crate::tokens::{replace_in_blocks, TokenStats};
+use crate::tokens::{self, replace_in_slice, Alphabet, Key};
 use cce_bitstream::{BitReader, BitWriter};
 use cce_codec::{BlockCodec, BlockImage, CodecError};
 use cce_huffman::CodeBook;
-use cce_isa::x86::{
-    decode_layout, progressive_layout, split_streams, DecodeLayoutError, LayoutProgress,
-};
+use cce_isa::x86::{decode_layout, progressive_layout, DecodeLayoutError, LayoutProgress};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -42,20 +40,31 @@ impl Default for X86SadcConfig {
     }
 }
 
-/// One decoded instruction's three stream slices.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct InsnParts {
-    /// Prefix + opcode bytes.
-    opcode: Vec<u8>,
-    /// ModRM + SIB bytes.
-    modrm_sib: Vec<u8>,
-    /// Displacement + immediate bytes.
-    imm_disp: Vec<u8>,
+/// One decoded instruction's bytes, split into its three stream slices
+/// (an x86 instruction holds them in stream order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct InsnParts<'a> {
+    bytes: &'a [u8],
+    /// Prefix + opcode bytes at the front of `bytes`.
+    opcode_len: usize,
+    /// ModRM + SIB bytes after them; displacement + immediate follow.
+    modrm_len: usize,
 }
 
-impl InsnParts {
-    fn total_len(&self) -> usize {
-        self.opcode.len() + self.modrm_sib.len() + self.imm_disp.len()
+impl<'a> InsnParts<'a> {
+    /// Prefix + opcode bytes.
+    fn opcode(&self) -> &'a [u8] {
+        &self.bytes[..self.opcode_len]
+    }
+
+    /// ModRM + SIB bytes.
+    fn modrm_sib(&self) -> &'a [u8] {
+        &self.bytes[self.opcode_len..self.opcode_len + self.modrm_len]
+    }
+
+    /// Displacement + immediate bytes.
+    fn imm_disp(&self) -> &'a [u8] {
+        &self.bytes[self.opcode_len + self.modrm_len..]
     }
 }
 
@@ -65,6 +74,8 @@ pub struct X86Sadc {
     config: X86SadcConfig,
     /// Base token id → prefix+opcode byte string.
     base_strings: Vec<Vec<u8>>,
+    /// Prefix+opcode byte string → base token id.
+    string_to_id: HashMap<Vec<u8>, usize>,
     /// Token id → base-token expansion (singletons for base tokens).
     templates: Vec<Vec<usize>>,
     /// Group build rules in insertion order (replayed at compress time).
@@ -83,6 +94,16 @@ impl X86Sadc {
     /// block size, or a program whose distinct opcode strings exceed the
     /// dictionary's token budget.
     pub fn train(text: &[u8], config: X86SadcConfig) -> Result<Self, CodecError> {
+        Self::train_with(text, config, grow_dictionary)
+    }
+
+    /// [`Self::train`] with the dictionary growth loop supplied by `grow`.
+    pub(crate) fn train_with(
+        text: &[u8],
+        config: X86SadcConfig,
+        grow: Grow,
+    ) -> Result<Self, CodecError> {
+        let _span = crate::obs::TRAIN_SPAN.time();
         if text.is_empty() {
             return Err(CodecError::train(NAME, "cannot train on an empty text section"));
         }
@@ -95,7 +116,7 @@ impl X86Sadc {
         // first (shorter Huffman codes for hot opcodes).
         let mut string_freq: HashMap<&[u8], u32> = HashMap::new();
         for p in &parts {
-            *string_freq.entry(&p.opcode).or_insert(0) += 1;
+            *string_freq.entry(p.opcode()).or_insert(0) += 1;
         }
         let mut ordered: Vec<(&[u8], u32)> = string_freq.into_iter().collect();
         ordered.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
@@ -111,51 +132,21 @@ impl X86Sadc {
             ));
         }
         let base_strings: Vec<Vec<u8>> = ordered.iter().map(|(s, _)| s.to_vec()).collect();
-        let string_to_id: HashMap<&[u8], usize> =
-            base_strings.iter().enumerate().map(|(i, s)| (s.as_slice(), i)).collect();
+        let string_to_id = string_ids(&base_strings);
 
         // Blocks: instruction-aligned groups of roughly block_size bytes.
         let insn_blocks = group_blocks(&parts, config.block_size);
         let mut templates: Vec<Vec<usize>> = (0..base_strings.len()).map(|i| vec![i]).collect();
         let mut token_blocks: Vec<Vec<usize>> = insn_blocks
             .iter()
-            .map(|range| {
-                parts[range.clone()].iter().map(|p| string_to_id[p.opcode.as_slice()]).collect()
-            })
+            .map(|range| parts[range.clone()].iter().map(|p| string_to_id[p.opcode()]).collect())
             .collect();
 
-        let mut rules: Vec<Vec<usize>> = Vec::new();
-        if config.groups {
-            while templates.len() < config.max_tokens {
-                let stats = TokenStats::scan(&token_blocks);
-                let storage = |t: usize| -> i64 {
-                    templates[t].iter().map(|&b| base_strings[b].len() as i64 + 1).sum()
-                };
-                let mut best: Option<(i64, Vec<usize>)> = None;
-                for (&(a, b), &f) in &stats.pairs {
-                    let gain = i64::from(f) - (storage(a) + storage(b) + 1);
-                    if best.as_ref().is_none_or(|(g, _)| gain > *g) {
-                        best = Some((gain, vec![a, b]));
-                    }
-                }
-                for (&(a, b, c), &f) in &stats.triples {
-                    let gain = 2 * i64::from(f) - (storage(a) + storage(b) + storage(c) + 1);
-                    if best.as_ref().is_none_or(|(g, _)| gain > *g) {
-                        best = Some((gain, vec![a, b, c]));
-                    }
-                }
-                let Some((gain, pattern)) = best else { break };
-                if gain <= 0 {
-                    break;
-                }
-                let new_id = templates.len();
-                let expansion: Vec<usize> =
-                    pattern.iter().flat_map(|&t| templates[t].clone()).collect();
-                templates.push(expansion);
-                replace_in_blocks(&mut token_blocks, &pattern, new_id);
-                rules.push(pattern);
-            }
-        }
+        let rules = if config.groups {
+            grow(&mut templates, &mut token_blocks, &base_strings, config.max_tokens)
+        } else {
+            Vec::new()
+        };
 
         // Huffman statistics.
         let mut token_freq = vec![0u64; templates.len()];
@@ -167,10 +158,10 @@ impl X86Sadc {
         let mut modrm_freq = [0u64; 256];
         let mut imm_freq = [0u64; 256];
         for p in &parts {
-            for &b in &p.modrm_sib {
+            for &b in p.modrm_sib() {
                 modrm_freq[usize::from(b)] += 1;
             }
-            for &b in &p.imm_disp {
+            for &b in p.imm_disp() {
                 imm_freq[usize::from(b)] += 1;
             }
         }
@@ -179,7 +170,16 @@ impl X86Sadc {
         let modrm_book = CodeBook::from_frequencies(&modrm_freq, 15).ok();
         let imm_book = CodeBook::from_frequencies(&imm_freq, 15).ok();
 
-        Ok(Self { config, base_strings, templates, rules, token_book, modrm_book, imm_book })
+        Ok(Self {
+            config,
+            base_strings,
+            string_to_id,
+            templates,
+            rules,
+            token_book,
+            modrm_book,
+            imm_book,
+        })
     }
 
     /// Dictionary storage: the base opcode-string table plus group entries.
@@ -257,7 +257,17 @@ impl X86Sadc {
         modrm_book: Option<CodeBook>,
         imm_book: Option<CodeBook>,
     ) -> Self {
-        Self { config, base_strings, templates, rules, token_book, modrm_book, imm_book }
+        let string_to_id = string_ids(&base_strings);
+        Self {
+            config,
+            base_strings,
+            string_to_id,
+            templates,
+            rules,
+            token_book,
+            modrm_book,
+            imm_book,
+        }
     }
 
     /// Compresses `text` (the training text or statistically identical).
@@ -287,23 +297,21 @@ impl X86Sadc {
             book.encode(w, sym);
             Ok(())
         };
-        let string_to_id: HashMap<&[u8], usize> =
-            self.base_strings.iter().enumerate().map(|(i, s)| (s.as_slice(), i)).collect();
         let mut tokens = Vec::with_capacity(block_parts.len());
         for p in block_parts {
-            let id = *string_to_id.get(p.opcode.as_slice()).ok_or_else(|| {
+            let id = *self.string_to_id.get(p.opcode()).ok_or_else(|| {
                 CodecError::train(
                     NAME,
-                    format!("opcode string {:02x?} was absent from the training program", p.opcode),
+                    format!(
+                        "opcode string {:02x?} was absent from the training program",
+                        p.opcode()
+                    ),
                 )
             })?;
             tokens.push(id);
         }
         for (i, pattern) in self.rules.iter().enumerate() {
-            let new_id = self.base_strings.len() + i;
-            let mut one = [std::mem::take(&mut tokens)];
-            replace_in_blocks(&mut one, pattern, new_id);
-            tokens = std::mem::take(&mut one[0]);
+            replace_in_slice(&mut tokens, pattern, self.base_strings.len() + i);
         }
 
         crate::obs::count_dict_tokens(&tokens, self.base_strings.len());
@@ -314,15 +322,15 @@ impl X86Sadc {
             for _ in 0..self.templates[t].len() {
                 let p = &block_parts[cursor];
                 cursor += 1;
-                if !p.modrm_sib.is_empty() {
+                if !p.modrm_sib().is_empty() {
                     let book = self.modrm_book.as_ref().ok_or_else(|| untrained("ModRM"))?;
-                    for &b in &p.modrm_sib {
+                    for &b in p.modrm_sib() {
                         encode(&mut w, book, u16::from(b), "ModRM")?;
                     }
                 }
-                if !p.imm_disp.is_empty() {
+                if !p.imm_disp().is_empty() {
                     let book = self.imm_book.as_ref().ok_or_else(|| untrained("immediate"))?;
-                    for &b in &p.imm_disp {
+                    for &b in p.imm_disp() {
                         encode(&mut w, book, u16::from(b), "immediate")?;
                     }
                 }
@@ -418,7 +426,7 @@ impl BlockCodec for X86Sadc {
         let mut end = 0usize;
         offsets.push(0);
         for p in &parts {
-            end += p.total_len();
+            end += p.bytes.len();
             offsets.push(end);
         }
         Ok(group_blocks(&parts, self.config.block_size)
@@ -446,25 +454,82 @@ impl BlockCodec for X86Sadc {
     }
 }
 
+/// Maps each base opcode string to its token id.
+fn string_ids(base_strings: &[Vec<u8>]) -> HashMap<Vec<u8>, usize> {
+    base_strings.iter().enumerate().map(|(i, s)| (s.clone(), i)).collect()
+}
+
+/// A dictionary growth loop: appends group expansions to the templates,
+/// rewrites the per-block token streams with them, and returns the group
+/// rules in insertion order.  Arguments: templates, token streams, base
+/// opcode strings, token limit.
+pub(crate) type Grow =
+    fn(&mut Vec<Vec<usize>>, &mut [Vec<usize>], &[Vec<u8>], usize) -> Vec<Vec<usize>>;
+
+/// The incremental growth loop ([`crate::tokens::grow`]) over opcode-string
+/// groups; a [`Grow`].
+fn grow_dictionary(
+    templates: &mut Vec<Vec<usize>>,
+    token_blocks: &mut [Vec<usize>],
+    base_strings: &[Vec<u8>],
+    max_tokens: usize,
+) -> Vec<Vec<usize>> {
+    let mut alphabet = X86Alphabet { storage: Vec::new(), templates, base_strings };
+    alphabet.storage = alphabet.templates.iter().map(|t| alphabet.storage_of(t)).collect();
+    let first = alphabet.templates.len();
+    tokens::grow(&mut alphabet, token_blocks, true, first, max_tokens)
+        .into_iter()
+        .map(|key| tokens::group(key).expect("x86 candidates are groups").to_vec())
+        .collect()
+}
+
+/// x86 candidates for the growth loop: opcode-string groups only.
+struct X86Alphabet<'a> {
+    templates: &'a mut Vec<Vec<usize>>,
+    /// Per token: dictionary bytes of its expansion (each base string
+    /// plus a length byte).
+    storage: Vec<i64>,
+    base_strings: &'a [Vec<u8>],
+}
+
+impl X86Alphabet<'_> {
+    fn storage_of(&self, expansion: &[usize]) -> i64 {
+        expansion.iter().map(|&b| self.base_strings[b].len() as i64 + 1).sum()
+    }
+}
+
+impl Alphabet for X86Alphabet<'_> {
+    fn gain(&self, key: Key, count: u32) -> i64 {
+        let pattern = tokens::group(key).expect("x86 candidates are groups");
+        let storage: i64 = pattern.iter().map(|&t| self.storage[t]).sum();
+        (pattern.len() as i64 - 1) * i64::from(count) - (storage + 1)
+    }
+
+    fn insert(&mut self, key: Key) {
+        let pattern = tokens::group(key).expect("x86 candidates are groups");
+        let expansion: Vec<usize> =
+            pattern.iter().flat_map(|&t| self.templates[t].iter().copied()).collect();
+        self.storage.push(self.storage_of(&expansion));
+        self.templates.push(expansion);
+    }
+}
+
 /// Splits `text` into per-instruction stream parts.
-fn parse_instructions(text: &[u8]) -> Result<Vec<InsnParts>, CodecError> {
-    let split = split_streams(text).map_err(|(offset, cause)| {
-        CodecError::train(NAME, format!("undecodable instruction at offset {offset}: {cause}"))
-    })?;
-    let mut parts = Vec::with_capacity(split.layouts.len());
-    let (mut o, mut m, mut d) = (0usize, 0usize, 0usize);
-    for layout in &split.layouts {
-        let ol = layout.opcode_stream_len();
-        let ml = layout.modrm_stream_len();
-        let dl = layout.imm_stream_len();
+fn parse_instructions(text: &[u8]) -> Result<Vec<InsnParts<'_>>, CodecError> {
+    let mut parts = Vec::new();
+    let mut rest = text;
+    while !rest.is_empty() {
+        let layout = decode_layout(rest).map_err(|cause| {
+            let offset = text.len() - rest.len();
+            CodecError::train(NAME, format!("undecodable instruction at offset {offset}: {cause}"))
+        })?;
+        let (bytes, tail) = rest.split_at(layout.total_len());
         parts.push(InsnParts {
-            opcode: split.opcode[o..o + ol].to_vec(),
-            modrm_sib: split.modrm_sib[m..m + ml].to_vec(),
-            imm_disp: split.imm_disp[d..d + dl].to_vec(),
+            bytes,
+            opcode_len: layout.opcode_stream_len(),
+            modrm_len: layout.modrm_stream_len(),
         });
-        o += ol;
-        m += ml;
-        d += dl;
+        rest = tail;
     }
     Ok(parts)
 }
@@ -525,7 +590,7 @@ fn group_blocks(parts: &[InsnParts], block_size: usize) -> Vec<std::ops::Range<u
     let mut start = 0usize;
     let mut size = 0usize;
     for (i, p) in parts.iter().enumerate() {
-        size += p.total_len();
+        size += p.bytes.len();
         if size >= block_size {
             blocks.push(start..i + 1);
             start = i + 1;

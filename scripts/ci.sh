@@ -16,6 +16,14 @@ cargo build --release --workspace
 echo "== tests (offline) =="
 cargo test -q --workspace
 
+echo "== SADC trainer equivalence at benchmark scale (release) =="
+# The incremental SADC trainers must build codecs byte-identical to the
+# full-rescan oracle in crates/sadc/tests/reference/ on the benchmark's
+# sadc-train inputs (go x4 MIPS, gcc x1 x86, seed 1) and at 1 MiB of each
+# ISA.  The test is #[ignore]d so the debug run above skips it; it prints
+# both timings.
+cargo test --release -q -p cce-sadc -- --ignored --nocapture
+
 echo "== fuzz smoke (fixed seed) =="
 cargo run --release -q -p cce-core --bin cce -- fuzz --algo all --cases 512 --seed 7
 
