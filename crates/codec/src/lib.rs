@@ -60,7 +60,7 @@ pub mod pipeline;
 mod traits;
 
 pub use error::CodecError;
-pub use image::BlockImage;
+pub use image::{lat_bytes_for, BlockImage};
 pub use par::{compress_parallel, parallel_map, worker_count, ShardJob, ShardPool};
 pub use pipeline::{
     run_pipeline, BlockSink, BlockSource, Chunker, CompressedBlock, FixedChunker, PipelineConfig,

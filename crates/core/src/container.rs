@@ -1,30 +1,18 @@
-//! The `.cce` container formats shared by the CLI and the fuzz harness.
+//! The `.cce` container format shared by the CLI, the serving tier and
+//! the fuzz harness.
 //!
 //! A `.cce` artifact packages everything the decompressor needs: the
 //! trained codec model, the compressed blocks, and enough ELF identity
 //! (ISA, class, endianness, entry point) to rebuild a loadable
-//! executable around the decompressed text section.  Two versions
-//! coexist (all integers big-endian):
+//! executable around the decompressed text section.
 //!
-//! **v1** — buffer-oriented, produced by the in-memory compress path.
-//! The block payload is a serialized [`BlockImage`], so the whole
-//! artifact must be in memory to parse:
-//!
-//! ```text
-//! offset  size  field
-//!      0     4  magic "CCEF"
-//!      4    12  identity (tag, isa, class, endianness, entry)
-//!     16     4  codec model length N
-//!     20     N  serialized codec model
-//!   20+N     —  serialized BlockImage
-//! ```
-//!
-//! **v2** — stream-oriented, produced by the bounded-memory pipeline.
-//! Blocks are appended raw as the pipeline drains (the writer is a
-//! [`BlockSink`]), and a per-block offset index lands *after* the data
-//! so the whole artifact is written in one forward pass.  A fixed-size
-//! footer points back at the index, so a reader seeks to any single
-//! block without touching the ones before it:
+//! The container is stream-oriented, produced by the bounded-memory
+//! pipeline.  Blocks are appended raw as the pipeline drains (the writer
+//! is a [`BlockSink`]), and a per-block offset index lands *after* the
+//! data so the whole artifact is written in one forward pass.  A
+//! fixed-size footer points back at the index, so a reader seeks to any
+//! single block without touching the ones before it (all integers
+//! big-endian):
 //!
 //! ```text
 //! offset  size  field
@@ -41,25 +29,20 @@
 //!               u64 original text length, magic "CIDX"
 //! ```
 //!
-//! The shared 12-byte identity block is encoded and parsed by one pair
-//! of helpers, so the two versions cannot drift.  v2 parsing enforces
-//! the same corruption caps as [`BlockImage::from_bytes`]
-//! ([`BlockImage::MAX_BLOCK_SIZE`], [`BlockImage::BLOCK_SLACK`], dense
-//! canonical offsets) so a tampered index cannot demand unbounded
+//! Parsing enforces the workspace corruption caps
+//! ([`BlockImage::MAX_BLOCK_SIZE`], [`BlockImage::BLOCK_SLACK`]) and
+//! dense canonical offsets, so a tampered index cannot demand unbounded
 //! output or out-of-extent reads.
 
 use std::io::{Read, Seek, SeekFrom, Write};
 
 use crate::registry::Algorithm;
 use cce_codec::pipeline::{BlockSink, CompressedBlock};
-use cce_codec::{BlockCodec, BlockImage, CodecError};
+use cce_codec::{lat_bytes_for, BlockCodec, BlockImage, CodecError};
 use cce_elf::{Class, Endianness};
 use cce_isa::Isa;
 
-/// Magic number opening a v1 `.cce` container.
-pub const CONTAINER_MAGIC: &[u8; 4] = b"CCEF";
-
-/// Magic number opening a v2 (streamed, indexed) `.cce` container.
+/// Magic number opening a (streamed, indexed) `.cce` container.
 pub const CONTAINER_V2_MAGIC: &[u8; 4] = b"CCE2";
 
 /// Magic number closing the v2 footer.
@@ -83,8 +66,8 @@ const INDEX_ENTRY_LEN: usize = 16;
 /// + magic.
 const V2_FOOTER_LEN: usize = 8 + 8 + 8 + 4;
 
-/// The executable identity stamped into every container version: which
-/// codec produced the blocks and what ELF shell to rebuild around the
+/// The executable identity stamped into every container: which codec
+/// produced the blocks and what ELF shell to rebuild around the
 /// decompressed text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContainerIdentity {
@@ -101,7 +84,7 @@ pub struct ContainerIdentity {
 }
 
 impl ContainerIdentity {
-    /// Appends the 12-byte identity encoding shared by both versions.
+    /// Appends the 12-byte identity encoding.
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(self.algorithm.tag());
         out.push(match self.isa {
@@ -119,7 +102,7 @@ impl ContainerIdentity {
         out.extend_from_slice(&self.entry.to_be_bytes());
     }
 
-    /// Parses the 12-byte identity block shared by both versions.
+    /// Parses the 12-byte identity block.
     ///
     /// # Errors
     ///
@@ -143,104 +126,8 @@ impl ContainerIdentity {
     }
 }
 
-/// Which container version a byte prefix announces, if any.
-pub fn container_version(bytes: &[u8]) -> Option<u8> {
-    if bytes.len() < 4 {
-        return None;
-    }
-    match &bytes[0..4] {
-        m if m == CONTAINER_MAGIC => Some(1),
-        m if m == CONTAINER_V2_MAGIC => Some(2),
-        _ => None,
-    }
-}
-
-/// A parsed v1 `.cce` container, borrowing the codec and image payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Container<'a> {
-    /// The codec that produced the image (always random-access).
-    pub algorithm: Algorithm,
-    /// Instruction set of the compressed text.
-    pub isa: Isa,
-    /// ELF class of the original executable.
-    pub class: Class,
-    /// Endianness of the original executable.
-    pub endianness: Endianness,
-    /// ELF entry point of the original executable.
-    pub entry: u64,
-    /// Serialized codec model (feed to `CodecBuilder::codec_from_bytes`).
-    pub codec_bytes: &'a [u8],
-    /// Serialized block image (feed to `BlockImage::from_bytes`).
-    pub image_bytes: &'a [u8],
-}
-
-impl<'a> Container<'a> {
-    /// Parses a v1 `.cce` container.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Corrupt`] on a bad magic number, unknown or
-    /// file-oriented codec tag, unknown ISA tag, or truncation; this
-    /// function never panics on malformed input.
-    pub fn parse(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        if bytes.len() < 20 || &bytes[0..4] != CONTAINER_MAGIC {
-            return Err(CodecError::corrupt(SELF, "not a cce container"));
-        }
-        let identity = ContainerIdentity::parse(bytes[4..16].try_into().expect("identity bytes"))?;
-        let codec_len = u32::from_be_bytes(bytes[16..20].try_into().expect("4 bytes")) as usize;
-        let rest = &bytes[20..];
-        if rest.len() < codec_len {
-            return Err(CodecError::corrupt(SELF, "container truncated"));
-        }
-        let (codec_bytes, image_bytes) = rest.split_at(codec_len);
-        Ok(Self {
-            algorithm: identity.algorithm,
-            isa: identity.isa,
-            class: identity.class,
-            endianness: identity.endianness,
-            entry: identity.entry,
-            codec_bytes,
-            image_bytes,
-        })
-    }
-
-    /// The identity block shared with v2 containers.
-    pub fn identity(&self) -> ContainerIdentity {
-        ContainerIdentity {
-            algorithm: self.algorithm,
-            isa: self.isa,
-            class: self.class,
-            endianness: self.endianness,
-            entry: self.entry,
-        }
-    }
-
-    /// Serializes the container.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(20 + self.codec_bytes.len() + self.image_bytes.len());
-        out.extend_from_slice(CONTAINER_MAGIC);
-        self.identity().encode(&mut out);
-        out.extend_from_slice(&(self.codec_bytes.len() as u32).to_be_bytes());
-        out.extend_from_slice(self.codec_bytes);
-        out.extend_from_slice(self.image_bytes);
-        out
-    }
-}
-
-/// Bytes required by a line address table indexing `block_count` blocks
-/// of `data_len` total compressed bytes — the same sizing rule as
-/// [`BlockImage::lat_bytes`], shared so streamed and buffered artifacts
-/// report identical overheads.
-pub(crate) fn lat_bytes_for(block_count: usize, data_len: usize) -> usize {
-    if block_count == 0 {
-        return 0;
-    }
-    let entry_bits = usize::BITS - data_len.next_power_of_two().leading_zeros();
-    (block_count * entry_bits as usize).div_ceil(8)
-}
-
 /// Size accounting for a finished v2 container, mirroring
-/// [`BlockImage`]'s reporting so streamed and buffered measurements are
+/// [`BlockImage`]'s reporting so streamed and in-memory measurements are
 /// directly comparable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContainerSummary {
@@ -421,11 +308,11 @@ pub struct ContainerV2Reader<R: Read + Seek> {
 impl<R: Read + Seek> ContainerV2Reader<R> {
     /// Opens a v2 container, validating the header, footer, and index.
     ///
-    /// Enforces the same corruption caps as [`BlockImage::from_bytes`]:
-    /// block size within [`BlockImage::MAX_BLOCK_SIZE`], per-block
-    /// uncompressed lengths within block size +
-    /// [`BlockImage::BLOCK_SLACK`], offsets dense and in-bounds, and
-    /// per-block lengths summing to the claimed original length.
+    /// Enforces the workspace corruption caps: block size within
+    /// [`BlockImage::MAX_BLOCK_SIZE`], per-block uncompressed lengths
+    /// within block size + [`BlockImage::BLOCK_SLACK`], offsets dense and
+    /// in-bounds, and per-block lengths summing to the claimed original
+    /// length.
     ///
     /// # Errors
     ///
@@ -532,7 +419,7 @@ impl<R: Read + Seek> ContainerV2Reader<R> {
         })
     }
 
-    /// The identity block shared with v1 containers.
+    /// The executable identity stored in the header.
     pub fn identity(&self) -> ContainerIdentity {
         self.identity
     }
@@ -634,19 +521,6 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
-    fn sample() -> Vec<u8> {
-        Container {
-            algorithm: Algorithm::Samc,
-            isa: Isa::Mips,
-            class: Class::Elf32,
-            endianness: Endianness::Big,
-            entry: 0x40_0000,
-            codec_bytes: &[1, 2, 3],
-            image_bytes: &[4, 5],
-        }
-        .to_bytes()
-    }
-
     fn sample_identity() -> ContainerIdentity {
         ContainerIdentity {
             algorithm: Algorithm::Samc,
@@ -676,46 +550,58 @@ mod tests {
     }
 
     #[test]
-    fn round_trips() {
-        let bytes = sample();
-        let parsed = Container::parse(&bytes).unwrap();
-        assert_eq!(parsed.algorithm, Algorithm::Samc);
-        assert_eq!(parsed.isa, Isa::Mips);
-        assert_eq!(parsed.entry, 0x40_0000);
-        assert_eq!(parsed.codec_bytes, &[1, 2, 3]);
-        assert_eq!(parsed.image_bytes, &[4, 5]);
-        assert_eq!(parsed.to_bytes(), bytes);
-    }
-
-    #[test]
     fn malformed_containers_are_typed_errors() {
-        let bytes = sample();
+        let bytes = sample_v2(&[(&[10, 11, 12], 32), (&[13], 20)]);
+        let typed = |bad: &[u8]| {
+            matches!(ContainerV2Reader::open(Cursor::new(bad)), Err(CodecError::Corrupt { .. }))
+        };
         // Too short / bad magic.
-        assert!(Container::parse(&[]).is_err());
-        assert!(Container::parse(b"CCEFxxxx").is_err());
+        assert!(typed(&[]));
+        assert!(typed(b"CCE2xxxx"));
         let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(matches!(Container::parse(&bad), Err(CodecError::Corrupt { .. })));
+        bad[3] = b'1'; // another container version's magic
+        assert!(typed(&bad));
         // Unknown codec tag.
         let mut bad = bytes.clone();
         bad[4] = 0xEE;
-        assert!(Container::parse(&bad).is_err());
+        assert!(typed(&bad));
+        // File-oriented codec tag.
+        let mut bad = bytes.clone();
+        bad[4] = Algorithm::Gzip.tag();
+        assert!(typed(&bad));
         // Unknown ISA tag.
         let mut bad = bytes.clone();
         bad[5] = 9;
-        assert!(Container::parse(&bad).is_err());
+        assert!(typed(&bad));
         // Codec length past EOF.
         let mut bad = bytes.clone();
-        bad[16..20].copy_from_slice(&u32::MAX.to_be_bytes());
-        assert!(matches!(Container::parse(&bad), Err(CodecError::Corrupt { .. })));
+        bad[24..28].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(typed(&bad));
+        assert!(ContainerV2Reader::open(Cursor::new(&bytes)).is_ok());
     }
 
     #[test]
-    fn version_sniffing() {
-        assert_eq!(container_version(&sample()), Some(1));
-        assert_eq!(container_version(&sample_v2(&[])), Some(2));
-        assert_eq!(container_version(b"CIMG"), None);
-        assert_eq!(container_version(b"CC"), None);
+    fn zero_length_blocks_round_trip() {
+        // A fully compressible block can shrink to zero compressed bytes,
+        // and a zero-length *uncompressed* block is legal padding.
+        let bytes = sample_v2(&[(&[], 0), (&[], 32), (&[7], 32)]);
+        let mut reader = ContainerV2Reader::open(Cursor::new(&bytes)).unwrap();
+        assert_eq!(reader.block_count(), 3);
+        assert_eq!(reader.original_len(), 64);
+        assert_eq!(reader.read_block(0).unwrap(), (Vec::new(), 0));
+        assert_eq!(reader.read_block(1).unwrap(), (Vec::new(), 32));
+        assert_eq!(reader.read_block(2).unwrap(), (vec![7], 32));
+        assert_eq!(reader.summary().data_len, 1);
+    }
+
+    #[test]
+    fn single_byte_final_block_round_trips() {
+        let bytes = sample_v2(&[(&[9, 9], 32), (&[5], 1)]);
+        let mut reader = ContainerV2Reader::open(Cursor::new(&bytes)).unwrap();
+        assert_eq!(reader.original_len(), 33);
+        assert_eq!(reader.block_uncompressed_len(1), 1);
+        assert_eq!(reader.read_block(1).unwrap(), (vec![5], 1));
+        assert_eq!(reader.read_block(0).unwrap(), (vec![9, 9], 32));
     }
 
     #[test]
@@ -791,6 +677,10 @@ mod tests {
         // Tampered block count.
         let mut bad = bytes.clone();
         bad[len - 20..len - 12].copy_from_slice(&u64::MAX.to_be_bytes());
+        assert!(ContainerV2Reader::open(Cursor::new(&bad)).is_err());
+        // Tampered original length.
+        let mut bad = bytes.clone();
+        bad[len - 12..len - 4].copy_from_slice(&u64::MAX.to_be_bytes());
         assert!(ContainerV2Reader::open(Cursor::new(&bad)).is_err());
         // Tampered index offset.
         let mut bad = bytes.clone();

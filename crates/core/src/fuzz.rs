@@ -8,13 +8,10 @@
 //! * **codec model bytes** — `CodecBuilder::codec_from_bytes` on mutated
 //!   serialized models, then a decode of the pristine image with whatever
 //!   deserialized (a tampered-codebook probe);
-//! * **block image bytes** — `BlockImage::from_bytes` on mutated images,
-//!   then a full decode cross-checked *differentially* against per-block
-//!   random access;
-//! * **`.cce` container bytes** — [`Container::parse`] plus both payload
-//!   parsers and a decode; the streamed v2 layout gets its own target
-//!   ([`ContainerV2Reader::open`] and a block-by-block decode), putting
-//!   the offset index and footer in the mutation surface;
+//! * **`.cce` container bytes** — [`ContainerV2Reader::open`] on mutated
+//!   containers (header, codec model, blocks, offset index and footer all
+//!   in the mutation surface), then a full decode cross-checked
+//!   *differentially* against per-block random access;
 //! * **program text** — the *differential* compress path: serial
 //!   [`BlockCodec::compress`] vs [`compress_parallel`] must agree
 //!   byte-for-byte (or fail identically), and whatever compresses must
@@ -45,7 +42,7 @@
 //! thousand maximal blocks still add up; the budget keeps every fuzz
 //! case O(golden size).
 
-use crate::container::{Container, ContainerIdentity, ContainerV2Reader, ContainerWriter};
+use crate::container::{ContainerIdentity, ContainerV2Reader, ContainerWriter};
 use crate::registry::{Algorithm, CodecBuilder};
 use cce_codec::pipeline::{BlockSink, CompressedBlock};
 use cce_codec::{compress_parallel, BlockCodec, BlockImage, CodecError};
@@ -86,12 +83,6 @@ fn budget_for(golden_len: usize) -> usize {
 /// case budget (counted as `Rejected`, like any typed refusal).
 fn over_budget() -> CodecError {
     CodecError::corrupt("fuzz harness", "claimed output exceeds case budget")
-}
-
-/// Section boundaries of a serialized [`BlockImage`]: fixed header
-/// fields, the per-block length table, and the block data.
-fn image_boundaries(block_count: usize) -> Vec<usize> {
-    vec![4, 6, 10, 14, 18, 22, 22 + 8 * block_count]
 }
 
 // ---------------------------------------------------------------------
@@ -140,119 +131,12 @@ impl FuzzTarget for CodecBytesTarget {
     }
 }
 
-/// Mutates the serialized block image; a parse that succeeds must decode
-/// consistently under full decode vs per-block random access.
-struct ImageBytesTarget {
-    label: String,
-    codec: Box<dyn BlockCodec>,
-    image_bytes: Vec<u8>,
-    block_count: usize,
-    budget: usize,
-}
-
-impl FuzzTarget for ImageBytesTarget {
-    fn name(&self) -> String {
-        format!("{}/image", self.label)
-    }
-
-    fn artifact(&self) -> Artifact {
-        Artifact::with_boundaries(
-            "block image",
-            self.image_bytes.clone(),
-            image_boundaries(self.block_count),
-        )
-    }
-
-    fn run(&self, bytes: &[u8]) -> Outcome {
-        let image = match BlockImage::from_bytes(bytes) {
-            Ok(image) => image,
-            Err(e) => return Outcome::Rejected(e),
-        };
-        if image.original_len() > self.budget {
-            return Outcome::Rejected(over_budget());
-        }
-        let full = match self.codec.decompress(&image) {
-            Ok(full) => full,
-            Err(e) => return Outcome::Rejected(e),
-        };
-        // Differential: random access must reconstruct exactly what the
-        // full decode produced, block for block.
-        let mut assembled = Vec::with_capacity(full.len());
-        for index in 0..image.block_count() {
-            let out_len = image.block_uncompressed_len(index);
-            match self.codec.decompress_block(image.block(index), out_len) {
-                Ok(block) => assembled.extend_from_slice(&block),
-                Err(e) => {
-                    return Outcome::Violation(format!(
-                        "full decode succeeded but block {index} failed: {e}"
-                    ))
-                }
-            }
-        }
-        if assembled != full {
-            return Outcome::Violation("random access and full decode disagree".into());
-        }
-        Outcome::Decoded
-    }
-}
-
-/// Mutates a whole `.cce` container: parse, both payload parsers, decode.
-struct ContainerTarget {
-    label: String,
-    builder: CodecBuilder,
-    container_bytes: Vec<u8>,
-    codec_len: usize,
-    budget: usize,
-}
-
-impl FuzzTarget for ContainerTarget {
-    fn name(&self) -> String {
-        format!("{}/container", self.label)
-    }
-
-    fn artifact(&self) -> Artifact {
-        Artifact::with_boundaries(
-            "container",
-            self.container_bytes.clone(),
-            vec![4, 5, 6, 7, 8, 16, 20, 20 + self.codec_len],
-        )
-    }
-
-    fn run(&self, bytes: &[u8]) -> Outcome {
-        let container = match Container::parse(bytes) {
-            Ok(container) => container,
-            Err(e) => return Outcome::Rejected(e),
-        };
-        let image = match BlockImage::from_bytes(container.image_bytes) {
-            Ok(image) => image,
-            Err(e) => return Outcome::Rejected(e),
-        };
-        if image.original_len() > self.budget {
-            return Outcome::Rejected(over_budget());
-        }
-        // The mutated tag byte may redirect to another algorithm; parse
-        // the codec with the *container's* claimed algorithm, like the
-        // CLI does.
-        let builder = container.algorithm.build(container.isa, self.builder.block_size());
-        let handle = match builder.codec_from_bytes(container.codec_bytes) {
-            Ok(handle) => handle,
-            Err(e) => return Outcome::Rejected(e),
-        };
-        let codec = match handle.as_block() {
-            Some(codec) => codec,
-            None => return Outcome::Violation("container accepted a non-block codec".into()),
-        };
-        match codec.decompress(&image) {
-            Ok(_) => Outcome::Decoded,
-            Err(e) => Outcome::Rejected(e),
-        }
-    }
-}
-
 /// Mutates a whole v2 (streamed, indexed) `.cce` container: header,
 /// codec model, index trailer, and footer all sit in the mutation
 /// surface, and whatever [`ContainerV2Reader::open`] accepts must decode
-/// block by block without panic or blowup.
+/// without panic or blowup.  A full decode that succeeds is cross-checked
+/// against per-block random access in reverse order: every block must
+/// decode on its own to exactly the bytes the front-to-back pass gave.
 struct ContainerV2Target {
     label: String,
     container_bytes: Vec<u8>,
@@ -296,10 +180,33 @@ impl FuzzTarget for ContainerV2Target {
             Some(codec) => codec,
             None => return Outcome::Violation("container accepted a non-block codec".into()),
         };
-        match reader.decode_text(codec) {
-            Ok(_) => Outcome::Decoded,
-            Err(e) => Outcome::Rejected(e),
+        let full = match reader.decode_text(codec) {
+            Ok(full) => full,
+            Err(e) => return Outcome::Rejected(e),
+        };
+        // Differential: random access must reconstruct exactly what the
+        // full decode produced, block for block.
+        let mut end = full.len();
+        for index in (0..reader.block_count()).rev() {
+            let block = reader
+                .read_block(index)
+                .and_then(|(data, out_len)| codec.decompress_block(&data, out_len));
+            let block = match block {
+                Ok(block) => block,
+                Err(e) => {
+                    return Outcome::Violation(format!(
+                        "full decode succeeded but block {index} failed: {e}"
+                    ))
+                }
+            };
+            if end < block.len() || full[end - block.len()..end] != block[..] {
+                return Outcome::Violation(format!(
+                    "random access and full decode disagree at block {index}"
+                ));
+            }
+            end -= block.len();
         }
+        Outcome::Decoded
     }
 }
 
@@ -694,33 +601,14 @@ fn block_targets_for(
     text: Vec<u8>,
 ) -> Vec<Box<dyn FuzzTarget>> {
     let builder = algorithm.build(isa, 32);
-    let train = |purpose: &str| {
-        let handle = builder
-            .train(&text)
-            .unwrap_or_else(|e| panic!("{label}: golden training failed ({purpose}): {e}"));
-        match handle {
-            crate::registry::CodecHandle::Block(codec) => codec,
-            crate::registry::CodecHandle::File(_) => {
-                panic!("{label}: expected a block codec")
-            }
-        }
+    let codec = match builder.train(&text) {
+        Ok(crate::registry::CodecHandle::Block(codec)) => codec,
+        Ok(crate::registry::CodecHandle::File(_)) => panic!("{label}: expected a block codec"),
+        Err(e) => panic!("{label}: golden training failed: {e}"),
     };
-    let codec = train("targets");
     let golden_image = codec.compress(&text).expect("golden compression succeeds");
     let codec_bytes = codec.to_bytes();
-    let image_bytes = golden_image.to_bytes();
     let budget = budget_for(text.len());
-    let container_bytes = Container {
-        algorithm,
-        isa,
-        class: cce_elf::Class::Elf32,
-        endianness: cce_elf::Endianness::Big,
-        entry: 0x40_0000,
-        codec_bytes: &codec_bytes,
-        image_bytes: &image_bytes,
-    }
-    .to_bytes();
-    // The same golden payload repackaged as a streamed v2 container.
     let identity = ContainerIdentity {
         algorithm,
         isa,
@@ -748,31 +636,13 @@ fn block_targets_for(
     }
     writer.finish().expect("golden v2 trailer");
 
+    let codec_len = codec_bytes.len();
     vec![
-        Box::new(CodecBytesTarget {
-            label: label.to_string(),
-            builder,
-            codec_bytes: codec_bytes.clone(),
-            golden_image: golden_image.clone(),
-        }),
-        Box::new(ImageBytesTarget {
-            label: label.to_string(),
-            codec: train("image target"),
-            image_bytes,
-            block_count: golden_image.block_count(),
-            budget,
-        }),
-        Box::new(ContainerTarget {
-            label: label.to_string(),
-            builder,
-            container_bytes,
-            codec_len: codec_bytes.len(),
-            budget,
-        }),
+        Box::new(CodecBytesTarget { label: label.to_string(), builder, codec_bytes, golden_image }),
         Box::new(ContainerV2Target {
             label: label.to_string(),
             container_bytes: v2_bytes,
-            codec_len: codec_bytes.len(),
+            codec_len,
             budget,
         }),
         Box::new(TextDifferentialTarget { label: label.to_string(), codec, text }),
@@ -781,10 +651,9 @@ fn block_targets_for(
 
 /// All fuzz targets for `algorithm`.
 ///
-/// Block algorithms get five targets (codec model, block image, v1
-/// container, v2 streamed container, differential text); SAMC
-/// additionally gets the model-store
-/// record target, SADC the x86 codec and image targets since its two
+/// Block algorithms get three targets (codec model, `.cce` container,
+/// differential text); SAMC additionally gets the model-store record
+/// target, SADC the x86 codec, container and text targets since its two
 /// ISA variants are distinct decoders, and samc-rans a raw-stream target
 /// putting the rANS header, lane states, and renorm words in the
 /// mutation surface.  File algorithms get a mutated-stream target and a
@@ -883,10 +752,10 @@ mod tests {
     fn every_algorithm_has_targets() {
         assert_eq!(targets(Algorithm::UnixCompress).len(), 2);
         assert_eq!(targets(Algorithm::Gzip).len(), 2);
-        assert_eq!(targets(Algorithm::ByteHuffman).len(), 5);
-        assert_eq!(targets(Algorithm::Samc).len(), 6);
-        assert_eq!(targets(Algorithm::Sadc).len(), 10);
-        assert_eq!(targets(Algorithm::SamcRans).len(), 6);
+        assert_eq!(targets(Algorithm::ByteHuffman).len(), 3);
+        assert_eq!(targets(Algorithm::Samc).len(), 4);
+        assert_eq!(targets(Algorithm::Sadc).len(), 6);
+        assert_eq!(targets(Algorithm::SamcRans).len(), 4);
         assert_eq!(serve_targets().len(), 2);
     }
 

@@ -19,11 +19,13 @@
 
 use std::io::{Read, Seek, Write};
 
-use crate::container::{lat_bytes_for, ContainerIdentity, ContainerSummary, ContainerWriter};
+use crate::container::{ContainerIdentity, ContainerSummary, ContainerWriter};
 use crate::registry::Algorithm;
 use crate::Measurement;
 use cce_codec::pipeline::{BlockSink, CompressedBlock};
-use cce_codec::{run_pipeline, BlockCodec, CodecError, PipelineConfig, PipelineStats, ReadSource};
+use cce_codec::{
+    lat_bytes_for, run_pipeline, BlockCodec, CodecError, PipelineConfig, PipelineStats, ReadSource,
+};
 use cce_elf::{ElfStream, Machine, SectionKind, StreamElfError};
 use cce_isa::Isa;
 

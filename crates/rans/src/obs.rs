@@ -7,13 +7,15 @@
 
 use cce_obs::{Counter, Desc};
 
-/// Symbols (bits) recorded across all finished
-/// [`RansEncoder`](crate::RansEncoder)s.
+/// Symbols recorded across all finished
+/// [`RansEncoder`](crate::RansEncoder)s: one per unit of a stream up to
+/// 8 bits wide, one per bit of a wider stream.
 pub static ENCODED_SYMBOLS: Counter = Counter::new();
 /// Encoder lane renormalizations: 16-bit words flushed to the stream.
 pub static ENCODE_LANE_FLUSHES: Counter = Counter::new();
-/// Symbols (bits) decoded across all dropped
-/// [`RansDecoder`](crate::RansDecoder)s.
+/// Symbols decoded across all dropped
+/// [`RansDecoder`](crate::RansDecoder)s: one per unit of a stream up to
+/// 8 bits wide, one per bit of a wider stream.
 pub static DECODED_SYMBOLS: Counter = Counter::new();
 /// Decoder lane renormalizations: 16-bit words read from the stream.
 pub static DECODE_LANE_REFILLS: Counter = Counter::new();
@@ -23,7 +25,7 @@ pub fn descriptors() -> [Desc; 4] {
     [
         Desc::counter(
             "rans.encode.symbols",
-            "bits encoded by the interleaved rANS coder",
+            "rANS symbols encoded: one per <=8-bit stream value, else one per bit",
             &ENCODED_SYMBOLS,
         ),
         Desc::counter(
@@ -33,7 +35,7 @@ pub fn descriptors() -> [Desc; 4] {
         ),
         Desc::counter(
             "rans.decode.symbols",
-            "bits decoded by the interleaved rANS coder",
+            "rANS symbols decoded: one per <=8-bit stream value, else one per bit",
             &DECODED_SYMBOLS,
         ),
         Desc::counter(

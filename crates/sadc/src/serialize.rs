@@ -3,13 +3,12 @@
 //! The decompressor-side artifact stores the dictionary *build rules*
 //! (templates are reconstructed by replaying them over the base
 //! alphabet), the Huffman code-length tables (canonical codes need
-//! nothing else), and the configuration.  Compressed images use the
-//! workspace-wide [`cce_codec::BlockImage`] format.
+//! nothing else), and the configuration.  The compressed blocks travel in
+//! the indexed `.cce` container.
 //!
 //! # Examples
 //!
 //! ```
-//! use cce_codec::BlockImage;
 //! use cce_isa::mips::{encode_text, Instruction, Reg};
 //! use cce_sadc::{MipsSadc, MipsSadcConfig};
 //!
@@ -21,8 +20,7 @@
 //! let image = codec.compress(&text);
 //!
 //! let codec2 = MipsSadc::from_bytes(&codec.to_bytes())?;
-//! let image2 = BlockImage::from_bytes(&image.to_bytes())?;
-//! assert_eq!(codec2.decompress(&image2)?, text);
+//! assert_eq!(codec2.decompress(&image)?, text);
 //! # Ok(())
 //! # }
 //! ```
@@ -297,7 +295,6 @@ impl X86Sadc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cce_codec::BlockImage;
     use cce_isa::mips::{encode_text, Instruction, Reg};
     use cce_isa::x86::asm::{self, reg, Alu};
 
@@ -350,11 +347,19 @@ mod tests {
 
     #[test]
     fn image_round_trips() {
+        // A container stores each block's bytes and uncompressed length;
+        // those parts alone must decode block by block under the
+        // restored codec.
         let text = mips_text();
         let codec = MipsSadc::train(&text, MipsSadcConfig::default()).unwrap();
         let image = codec.compress(&text);
-        let restored = BlockImage::from_bytes(&image.to_bytes()).unwrap();
-        assert_eq!(restored, image);
+        let restored = MipsSadc::from_bytes(&codec.to_bytes()).unwrap();
+        let decoded: Vec<u8> = (0..image.block_count())
+            .flat_map(|i| {
+                restored.decompress_block(image.block(i), image.block_uncompressed_len(i)).unwrap()
+            })
+            .collect();
+        assert_eq!(decoded, text);
     }
 
     #[test]
@@ -380,10 +385,6 @@ mod tests {
         assert!(matches!(
             X86Sadc::from_bytes(&mips.to_bytes()),
             Err(CodecError::Corrupt { codec: "SADC", .. })
-        ));
-        assert!(matches!(
-            BlockImage::from_bytes(&mips.to_bytes()),
-            Err(CodecError::Corrupt { .. })
         ));
     }
 

@@ -6,12 +6,11 @@
 //! module serializes the model, packing probabilities at exactly the bit
 //! widths [`MarkovModel::model_bytes`] charges for (12-bit exact, 4-bit
 //! power-of-two), so the reported ratios correspond to real bytes; the
-//! image uses the workspace-generic [`cce_codec::BlockImage`] format.
+//! compressed blocks travel in the indexed `.cce` container.
 //!
 //! # Examples
 //!
 //! ```
-//! use cce_codec::BlockImage;
 //! use cce_samc::{SamcCodec, SamcConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,12 +18,8 @@
 //! let codec = SamcCodec::train(&text, SamcConfig::mips())?;
 //! let image = codec.compress(&text);
 //!
-//! let codec_bytes = codec.to_bytes();
-//! let image_bytes = image.to_bytes();
-//!
-//! let codec2 = SamcCodec::from_bytes(&codec_bytes)?;
-//! let image2 = BlockImage::from_bytes(&image_bytes)?;
-//! assert_eq!(codec2.decompress(&image2)?, text);
+//! let codec2 = SamcCodec::from_bytes(&codec.to_bytes())?;
+//! assert_eq!(codec2.decompress(&image)?, text);
 //! # Ok(())
 //! # }
 //! ```
@@ -187,7 +182,6 @@ fn nibble_pow2(nibble: u8) -> Prob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cce_codec::BlockImage;
 
     fn training_text() -> Vec<u8> {
         (0..2048u32).flat_map(|i| ((i % 11) << 2 | 0x8000_0000).to_be_bytes()).collect()
@@ -253,11 +247,19 @@ mod tests {
 
     #[test]
     fn image_round_trips_through_generic_format() {
+        // A container stores each block's bytes and uncompressed length;
+        // those parts alone must decode block by block under the
+        // restored codec.
         let text = training_text();
         let codec = SamcCodec::train(&text, SamcConfig::mips()).unwrap();
         let image = codec.compress(&text);
-        let restored = BlockImage::from_bytes(&image.to_bytes()).unwrap();
-        assert_eq!(restored, image);
+        let restored = SamcCodec::from_bytes(&codec.to_bytes()).unwrap();
+        let decoded: Vec<u8> = (0..image.block_count())
+            .flat_map(|i| {
+                restored.decompress_block(image.block(i), image.block_uncompressed_len(i)).unwrap()
+            })
+            .collect();
+        assert_eq!(decoded, text);
     }
 
     #[test]
@@ -268,10 +270,12 @@ mod tests {
         ));
         let text = training_text();
         let codec = SamcCodec::train(&text, SamcConfig::mips()).unwrap();
-        // An image is not a codec.
-        let image_bytes = codec.compress(&text).to_bytes();
+        // A block payload is not a codec.
+        let image = codec.compress(&text);
+        let payload: Vec<u8> =
+            (0..image.block_count()).flat_map(|i| image.block(i).to_vec()).collect();
         assert!(matches!(
-            SamcCodec::from_bytes(&image_bytes),
+            SamcCodec::from_bytes(&payload),
             Err(CodecError::Corrupt { codec: "SAMC", .. })
         ));
     }

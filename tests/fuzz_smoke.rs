@@ -6,8 +6,10 @@
 //! CI stage; this keeps a smaller deterministic slice in `cargo test` so
 //! a decode-path panic can never land silently.
 
-use cce_core::codec::{BlockImage, CodecError};
+use cce_core::codec::{BlockSink, CodecError, CompressedBlock};
+use cce_core::container::{ContainerIdentity, ContainerV2Reader, ContainerWriter};
 use cce_core::elf::ElfImage;
+use cce_core::elf::{Class, Endianness};
 use cce_core::fuzz::{run, run_all, run_serve, FuzzConfig};
 use cce_core::huffman::CodeBook;
 use cce_core::isa::Isa;
@@ -131,14 +133,31 @@ fn elf_section_header_offset_overflow_is_a_typed_error_not_a_panic() {
     assert!(ElfImage::parse(&bytes).is_err());
 }
 
-/// A block image claiming a gigantic block size is refused up front
+/// A container claiming a gigantic block size is refused up front
 /// instead of driving huge allocations through every decoder.
 #[test]
 fn tampered_block_size_field_is_rejected() {
-    let image = BlockImage::new(vec![vec![1, 2, 3], vec![4]], vec![32, 16], 32, 48, 0);
-    let mut bytes = image.to_bytes();
-    bytes[6..10].copy_from_slice(&u32::MAX.to_be_bytes());
-    assert!(matches!(BlockImage::from_bytes(&bytes), Err(CodecError::Corrupt { .. })));
+    let identity = ContainerIdentity {
+        algorithm: Algorithm::Samc,
+        isa: Isa::Mips,
+        class: Class::Elf32,
+        endianness: Endianness::Big,
+        entry: 0x40_0000,
+    };
+    let mut bytes = Vec::new();
+    let mut writer = ContainerWriter::new(&mut bytes, identity, 32, 0, &[]).unwrap();
+    for (index, (data, uncompressed_len)) in
+        [(vec![1, 2, 3], 32), (vec![4], 16)].into_iter().enumerate()
+    {
+        writer.accept(CompressedBlock { index, uncompressed_len, data }).unwrap();
+    }
+    writer.finish().unwrap();
+    assert!(ContainerV2Reader::open(std::io::Cursor::new(&bytes)).is_ok());
+    bytes[16..20].copy_from_slice(&u32::MAX.to_be_bytes());
+    assert!(matches!(
+        ContainerV2Reader::open(std::io::Cursor::new(&bytes)),
+        Err(CodecError::Corrupt { .. })
+    ));
 }
 
 /// SADC's operand streams only carry the fields in each operation's

@@ -2,10 +2,10 @@
 //!
 //! Every algorithm × ISA pair compresses a fixed, deterministic workload
 //! and the resulting artifact bytes are checked in under `tests/golden/`
-//! as hex.  The on-disk formats — codec model serialization, block-image
-//! layout, `.cce` container framing, gzip/LZW streams — are contracts: a
-//! single changed byte fails this suite, so no format drift lands
-//! silently.
+//! as hex.  The on-disk formats — codec model serialization, the `.cce`
+//! container (header, block payloads, offset index, footer), gzip/LZW
+//! streams — are contracts: a single changed byte fails this suite, so no
+//! format drift lands silently.
 //!
 //! Intentional format changes are a two-step acknowledgment:
 //!
@@ -13,25 +13,22 @@
 //!    `tests/golden/VERSION` is rewritten for you), then
 //! 2. run `scripts/regen_golden.sh` to rewrite the fixtures.
 
-use cce_core::codec::{compress_parallel, BlockImage};
-use cce_core::container::Container;
-use cce_core::elf::{Class, Endianness};
+use cce_core::container::ContainerV2Reader;
+use cce_core::elf::{Class, ElfImage, ElfStream, Endianness, Machine};
 use cce_core::isa::mips::encode_text;
 use cce_core::isa::Isa;
 use cce_core::workload::{generate_mips, generate_x86, Spec95};
-use cce_core::{Algorithm, CodecHandle};
+use cce_core::{streaming, Algorithm, CodecHandle};
+use std::io::Cursor;
 use std::path::{Path, PathBuf};
 
 /// Version of the golden corpus.  Bump on *intentional* format changes,
 /// together with regenerating the fixtures.
-const GOLDEN_FORMAT_VERSION: u32 = 1;
+const GOLDEN_FORMAT_VERSION: u32 = 2;
 
 /// Workload profile and scale every vector compresses.
 const PROFILE: &str = "compress";
 const SCALE: f64 = 0.02;
-
-/// Fixed ELF identity baked into the container vectors.
-const ENTRY: u64 = 0x0040_0000;
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
@@ -61,26 +58,29 @@ fn vector_name(algorithm: Algorithm, isa: Isa) -> String {
     format!("{}_{}.hex", algorithm.to_string().to_lowercase(), isa_slug(isa))
 }
 
-/// Builds the golden artifact: a full `.cce` container for random-access
-/// algorithms (codec model + block image + framing), the raw compressed
-/// stream for the file-oriented baselines.
+/// The golden input wrapped the way `cce gen` writes it: a minimal
+/// executable whose only section is the text.
+fn golden_elf(isa: Isa, text: Vec<u8>) -> ElfImage {
+    let (machine, endianness) = match isa {
+        Isa::Mips => (Machine::Mips, Endianness::Big),
+        Isa::X86 => (Machine::I386, Endianness::Little),
+    };
+    ElfImage::new_executable(machine, Class::Elf32, endianness, text)
+}
+
+/// Builds the golden artifact: the `.cce` container `cce compress`
+/// streams out of the golden ELF for random-access algorithms, the raw
+/// compressed stream for the file-oriented baselines.
 fn artifact(algorithm: Algorithm, isa: Isa, text: &[u8]) -> Vec<u8> {
     match algorithm.build(isa, 32).train(text).expect("golden workload trains") {
         CodecHandle::File(codec) => codec.compress(text),
         CodecHandle::Block(codec) => {
-            let image = compress_parallel(codec.as_ref(), text, 1).expect("compresses");
-            let codec_bytes = codec.to_bytes();
-            let image_bytes = image.to_bytes();
-            Container {
-                algorithm,
-                isa,
-                class: Class::Elf32,
-                endianness: Endianness::Big,
-                entry: ENTRY,
-                codec_bytes: &codec_bytes,
-                image_bytes: &image_bytes,
-            }
-            .to_bytes()
+            let elf_bytes = golden_elf(isa, text.to_vec()).to_bytes();
+            let mut elf = ElfStream::open(Cursor::new(elf_bytes)).expect("golden elf parses");
+            let mut out = Vec::new();
+            streaming::compress_elf(&mut elf, algorithm, codec.as_ref(), &mut out, 1)
+                .expect("compresses");
+            out
         }
     }
 }
@@ -167,18 +167,22 @@ fn golden_containers_decode_back_to_the_input() {
             let name = vector_name(algorithm, isa);
             let recorded = std::fs::read_to_string(golden_dir().join(&name))
                 .unwrap_or_else(|e| panic!("missing golden vector {name}: {e}"));
-            let bytes = hex_decode(&recorded);
-            let container = Container::parse(&bytes).expect("golden container parses");
-            assert_eq!(container.algorithm, algorithm);
-            assert_eq!(container.isa, isa);
-            assert_eq!(container.entry, ENTRY);
-            let image = BlockImage::from_bytes(container.image_bytes).expect("image parses");
+            let mut reader = ContainerV2Reader::open(Cursor::new(hex_decode(&recorded)))
+                .expect("golden container parses");
+            let identity = reader.identity();
+            let elf = golden_elf(isa, Vec::new());
+            assert_eq!(identity.algorithm, algorithm);
+            assert_eq!(identity.isa, isa);
+            assert_eq!(
+                (identity.class, identity.endianness, identity.entry),
+                (elf.class, elf.endianness, elf.entry)
+            );
             let handle = algorithm
-                .build(isa, image.block_size())
-                .codec_from_bytes(container.codec_bytes)
+                .build(isa, reader.block_size())
+                .codec_from_bytes(reader.codec_bytes())
                 .expect("codec model parses");
             let codec = handle.as_block().expect("random-access");
-            let decoded = codec.decompress(&image).expect("golden image decodes");
+            let decoded = reader.decode_text(codec).expect("golden container decodes");
             assert_eq!(decoded, text, "{name} decodes to different text than its input");
         }
     }

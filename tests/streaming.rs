@@ -1,5 +1,5 @@
-//! Streaming-path integration tests: the bounded pipeline, the v2
-//! container, and v1 backward compatibility.
+//! Streaming-path integration tests: the bounded pipeline and the v2
+//! container.
 //!
 //! Three properties are locked here:
 //!
@@ -7,8 +7,8 @@
 //!    path produces exactly the payload the in-memory path produces —
 //!    byte-identical per-block container data for the random-access
 //!    codecs, identical measurements for the file baselines.
-//! 2. **Compatibility**: v1 containers written by older builds still
-//!    decode through the CLI.
+//! 2. **One format**: the CLI reads only v2 containers; the retired v1
+//!    container and bare block-image layouts fail with a typed error.
 //! 3. **Random access**: the v2 index lets a reader decode an arbitrary
 //!    single block while reading only that block's bytes — no prior
 //!    blocks, which is the property the paper's LAT hardware depends on.
@@ -25,7 +25,7 @@ use std::process::Command;
 use std::rc::Rc;
 
 use cce_core::codec::{compress_parallel, BlockCodec};
-use cce_core::container::{container_version, Container, ContainerV2Reader};
+use cce_core::container::{ContainerV2Reader, CONTAINER_V2_MAGIC};
 use cce_core::elf::{Class, ElfImage, ElfStream, Endianness, Machine};
 use cce_core::isa::Isa;
 use cce_core::streaming;
@@ -89,7 +89,7 @@ fn streamed_payload_matches_in_memory_for_every_algorithm_on_both_isas() {
             let codec = trained_block_codec(algorithm, isa, &text);
             let image = compress_parallel(codec.as_ref(), &text, WORKERS).expect("compresses");
             let container = stream_container(&elf_bytes, algorithm, codec.as_ref());
-            assert_eq!(container_version(&container), Some(2), "{algorithm} on {isa}");
+            assert_eq!(&container[..4], CONTAINER_V2_MAGIC, "{algorithm} on {isa}");
             let mut reader = ContainerV2Reader::open(Cursor::new(&container)).expect("parses back");
             assert_eq!(reader.block_count(), image.block_count(), "{algorithm} on {isa}");
             for i in 0..image.block_count() {
@@ -115,41 +115,47 @@ fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("cce-streaming-test-{}-{name}", std::process::id()))
 }
 
+/// Magic number of the retired v1 `.cce` container.
+const RETIRED_V1_MAGIC: [u8; 4] = [0x43, 0x43, 0x45, 0x46];
+/// Magic number of the retired serialized block image.
+const RETIRED_IMAGE_MAGIC: [u8; 4] = [0x43, 0x49, 0x4d, 0x47];
+
 #[test]
-fn v1_containers_still_decode_through_the_cli() {
-    let text = sample_text(Isa::Mips);
-    let codec = trained_block_codec(Algorithm::ByteHuffman, Isa::Mips, &text);
-    let image = compress_parallel(codec.as_ref(), &text, WORKERS).expect("compresses");
-    let codec_bytes = codec.to_bytes();
-    let image_bytes = image.to_bytes();
-    let v1 = Container {
-        algorithm: Algorithm::ByteHuffman,
-        isa: Isa::Mips,
-        class: Class::Elf32,
-        endianness: Endianness::Big,
-        entry: 0x0040_0000,
-        codec_bytes: &codec_bytes,
-        image_bytes: &image_bytes,
+fn non_v2_files_are_rejected_through_the_cli() {
+    // The retired formats' headers: a v1 container (magic, identity,
+    // codec length) and a bare block image (magic, version, block size,
+    // original length, model bytes, block count), padded past the v2
+    // header + footer length so the magic check itself must refuse them.
+    let mut v1 = RETIRED_V1_MAGIC.to_vec();
+    v1.extend_from_slice(&[Algorithm::ByteHuffman.tag(), 0, 0, 1, 0, 0, 0, 0, 0, 0x40, 0, 0]);
+    v1.extend_from_slice(&[0; 64]);
+    let mut image = RETIRED_IMAGE_MAGIC.to_vec();
+    image.extend_from_slice(&[0, 1, 0, 0, 0, 32, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+    image.extend_from_slice(&[0; 64]);
+
+    for (name, bytes) in [("v1.cce", v1), ("image.cce", image)] {
+        let artifact = temp_path(name);
+        let rebuilt = temp_path(&format!("{name}.elf"));
+        let published = temp_path(&format!("{name}.dir"));
+        std::fs::write(&artifact, &bytes).expect("writes artifact");
+        let path = artifact.to_str().unwrap();
+        for args in [
+            vec!["info", path],
+            vec!["decompress", path, "-o", rebuilt.to_str().unwrap()],
+            vec!["publish", path, "-o", published.to_str().unwrap()],
+        ] {
+            let out = cce(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{args:?} accepted {name}");
+            assert!(!stderr.contains("panicked"), "{args:?} panicked on {name}:\n{stderr}");
+            assert!(
+                stderr.contains("not a cce v2 container"),
+                "{args:?} on {name} should report a bad magic, got:\n{stderr}"
+            );
+        }
+        assert!(!rebuilt.exists() && !published.exists(), "{name}: a failed command left output");
+        std::fs::remove_file(&artifact).ok();
     }
-    .to_bytes();
-    assert_eq!(container_version(&v1), Some(1));
-
-    let artifact = temp_path("v1.cce");
-    let rebuilt = temp_path("v1.elf");
-    std::fs::write(&artifact, &v1).expect("writes artifact");
-
-    let info = cce(&["info", artifact.to_str().unwrap()]);
-    assert!(info.status.success(), "info failed: {}", String::from_utf8_lossy(&info.stderr));
-    let stdout = String::from_utf8_lossy(&info.stdout);
-    assert!(stdout.contains("v1"), "info should identify the container version:\n{stdout}");
-
-    let out = cce(&["decompress", artifact.to_str().unwrap(), "-o", rebuilt.to_str().unwrap()]);
-    assert!(out.status.success(), "decompress failed: {}", String::from_utf8_lossy(&out.stderr));
-    let elf = ElfImage::parse(&std::fs::read(&rebuilt).expect("reads elf")).expect("parses elf");
-    assert_eq!(elf.text().expect("text"), &text[..], "v1 round trip changed the text");
-
-    std::fs::remove_file(&artifact).ok();
-    std::fs::remove_file(&rebuilt).ok();
 }
 
 /// A `Read + Seek` wrapper that counts bytes handed out, so a test can
