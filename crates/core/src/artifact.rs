@@ -31,7 +31,6 @@ pub fn registry_name(algorithm: Algorithm) -> &'static str {
         Algorithm::ByteHuffman => "huffman",
         Algorithm::Samc => "samc",
         Algorithm::Sadc => "sadc",
-        Algorithm::SamcRans => "samc-rans",
     }
 }
 
@@ -268,6 +267,9 @@ mod tests {
             assert_eq!(isa_by_name(isa_name(isa)), Some(isa));
         }
         assert_eq!(isa_by_name("arm"), None);
+        // The retired samc-rans backend's names resolve to nothing.
+        assert_eq!(Algorithm::by_name("samc-rans"), None);
+        assert_eq!(Algorithm::by_name("rans"), None);
         let container = sample_container();
         let mut reader = ContainerV2Reader::open(Cursor::new(&container)).unwrap();
         let dir = temp_dir("refuse");
@@ -278,6 +280,13 @@ mod tests {
             Err(err) => err,
         };
         assert!(err.to_string().contains("file-oriented"), "{err}");
+        assert!(matches!(err, ServeError::Corrupt { .. }));
+        manifest.algorithm = "samc-rans".into();
+        let err = match codec_from_manifest(&manifest, b"") {
+            Ok(_) => panic!("the retired samc-rans name built a codec"),
+            Err(err) => err,
+        };
+        assert!(err.to_string().contains("unknown algorithm"), "{err}");
         assert!(matches!(err, ServeError::Corrupt { .. }));
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -8,6 +8,7 @@
 //! cce decompress <in.cce> -o <out.elf>       # rebuild a minimal ELF
 //! cce info <in.cce>                          # inspect a compressed artifact
 //! cce bench [--scale F] [--seed S] [--metrics M.json]  # fixed-seed suite run
+//! cce sweep [--blocks N,..] [--caches N,..] [--clb N,..] [...]  # memory-system grid
 //! cce gen <profile> [--scale F] [--seed S] [--multi-section] -o <out.elf>
 //! cce stats [input.elf]                      # metric registry / live counters
 //! cce fuzz --algo <name|all|serve> --cases N --seed S  # adversarial decode fuzzing
@@ -38,6 +39,11 @@
 //! `shutdown`, and `fetch` is the reference client: it pulls the
 //! manifest, decodes every block over the wire, and rebuilds the same
 //! minimal ELF `decompress` writes.
+//!
+//! `sweep` simulates the Wolfe/Chanin memory system over a grid of codec
+//! × block size × cache size × associativity × CLB cells, charging every
+//! refill the paper's nibble decompression engine, and writes
+//! `BENCH_memsim.json`.
 //!
 //! The `.cce` container holds the trained codec (Markov tables or
 //! dictionary+code tables), the indexed compressed blocks, and enough ELF
@@ -116,14 +122,10 @@ fn print_usage() {
     println!(
         "                                                SAMC optimizer + model-cache micro-bench"
     );
-    println!("  cce bench --decode [--scale F] [--seed S] [-o OUT.json] [--json]");
-    println!(
-        "                                                entropy-backend decode throughput bench"
-    );
     println!("  cce bench --memsim [...]                      alias for `cce sweep --bench`");
     println!("  cce sweep [--algos A,B] [--blocks N,..] [--caches N,..] [--assoc N,..]");
-    println!("            [--clb N,..] [--decoders nibble,ransN] [--fetches N] [--scale F]");
-    println!("            [--seed S] [--workers N] [--bench] [-o OUT.json] [--json]");
+    println!("            [--clb N,..] [--fetches N] [--scale F] [--seed S] [--workers N]");
+    println!("            [--bench] [-o OUT.json] [--json]");
     println!("                                                memory-system design-space sweep");
     println!(
         "  cce gen <profile> [--scale F] [--seed S] [--isa mips|x86] [--multi-section] -o <out.elf>"
@@ -157,7 +159,6 @@ struct Flags<'a> {
     metrics: Option<&'a str>,
     scale: f64,
     optimizer: bool,
-    decode: bool,
     model_cache: Option<&'a str>,
     isa: Option<&'a str>,
     elf: Option<&'a str>,
@@ -172,7 +173,6 @@ struct Flags<'a> {
     caches: Option<&'a str>,
     assoc: Option<&'a str>,
     clb: Option<&'a str>,
-    decoders: Option<&'a str>,
     fetches: usize,
     workers: Option<usize>,
     bench: bool,
@@ -192,7 +192,6 @@ fn split_flags(args: &[String]) -> Result<Flags<'_>, String> {
     let mut metrics = None;
     let mut scale = 0.1f64;
     let mut optimizer = false;
-    let mut decode = false;
     let mut model_cache = None;
     let mut isa = None;
     let mut elf = None;
@@ -207,7 +206,6 @@ fn split_flags(args: &[String]) -> Result<Flags<'_>, String> {
     let mut caches = None;
     let mut assoc = None;
     let mut clb = None;
-    let mut decoders = None;
     let mut fetches = 100_000usize;
     let mut workers = None;
     let mut bench_flag = false;
@@ -276,10 +274,6 @@ fn split_flags(args: &[String]) -> Result<Flags<'_>, String> {
             }
             "--optimizer" => {
                 optimizer = true;
-                i += 1;
-            }
-            "--decode" => {
-                decode = true;
                 i += 1;
             }
             "--model-cache" => {
@@ -351,10 +345,6 @@ fn split_flags(args: &[String]) -> Result<Flags<'_>, String> {
                 clb = Some(args.get(i + 1).ok_or("missing value after --clb")?.as_str());
                 i += 2;
             }
-            "--decoders" => {
-                decoders = Some(args.get(i + 1).ok_or("missing value after --decoders")?.as_str());
-                i += 2;
-            }
             "--fetches" => {
                 fetches = args
                     .get(i + 1)
@@ -403,7 +393,6 @@ fn split_flags(args: &[String]) -> Result<Flags<'_>, String> {
         metrics,
         scale,
         optimizer,
-        decode,
         model_cache,
         isa,
         elf,
@@ -418,7 +407,6 @@ fn split_flags(args: &[String]) -> Result<Flags<'_>, String> {
         caches,
         assoc,
         clb,
-        decoders,
         fetches,
         workers,
         bench: bench_flag,
@@ -643,9 +631,6 @@ fn bench(args: &[String]) -> Result<(), Box<dyn Error>> {
     if flags.optimizer {
         return bench_optimizer(&flags);
     }
-    if flags.decode {
-        return bench_decode(&flags);
-    }
     if flags.memsim {
         // `cce bench --memsim` ≡ `cce sweep --bench`: the design-space
         // sweep with the kernel-speedup leg in the artifact.
@@ -725,152 +710,6 @@ fn bench(args: &[String]) -> Result<(), Box<dyn Error>> {
     write_metrics(flags.metrics, "bench")
 }
 
-/// Times full-image decodes of `image` through `codec` and returns the
-/// throughput in MB/s of uncompressed output.  The first decode is
-/// checked against `text` so the loop never times a broken decoder.
-fn time_decode(
-    codec: &dyn cce_core::codec::BlockCodec,
-    image: &cce_core::codec::BlockImage,
-    text: &[u8],
-    iterations: usize,
-) -> Result<f64, Box<dyn Error>> {
-    use std::time::Instant;
-    if codec.decompress(image)? != text {
-        return Err(format!("{}: decode differs from the corpus", codec.name()).into());
-    }
-    let start = Instant::now();
-    for _ in 0..iterations {
-        std::hint::black_box(codec.decompress(image)?);
-    }
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    Ok((iterations * text.len()) as f64 / (1024.0 * 1024.0) / secs)
-}
-
-/// `cce bench --decode`: decode-throughput micro-benchmark of the two
-/// entropy backends sharing SAMC's Markov models — the serial arithmetic
-/// coder vs the interleaved rANS coder at every lane width — on both
-/// ISAs, writing the `BENCH_decode.json` artifact (see README).
-///
-/// The corpus is the fixed-seed "go" workload; the iteration count is
-/// derived deterministically from the corpus size so artifacts from
-/// different scales time comparable total work.  Blocks are 4 KiB: large
-/// enough to amortize the rANS stream header (1 + 4·lanes bytes/block)
-/// below the ±2 % arith-ratio band the artifact asserts.
-fn bench_decode(flags: &Flags) -> Result<(), Box<dyn Error>> {
-    use cce_core::isa::mips::encode_text;
-    use cce_core::rans::{Lanes, SamcRansCodec};
-    use cce_core::samc::{SamcCodec, SamcConfig};
-    use cce_core::workload::{generate_mips_seeded, generate_x86_seeded, Spec95};
-
-    const PROFILE: &str = "go";
-    const DECODE_BLOCK: usize = 4096;
-    /// Uncompressed bytes each timing loop targets; fixes the iteration
-    /// count from the corpus size alone.
-    const TARGET_BYTES: usize = 32 * 1024 * 1024;
-
-    let profile = Spec95::by_name(PROFILE).expect("profile is in the suite");
-    let mut isa_reports = Vec::new();
-    let mut band_ok = true;
-    let mut speedup_4way = f64::INFINITY;
-    for isa in [Isa::Mips, Isa::X86] {
-        let text = match isa {
-            Isa::Mips => encode_text(&generate_mips_seeded(profile, flags.scale, flags.seed)),
-            Isa::X86 => generate_x86_seeded(profile, flags.scale, flags.seed),
-        };
-        let iterations = (TARGET_BYTES / text.len().max(1)).clamp(4, 512);
-        let config = match isa {
-            Isa::Mips => SamcConfig::mips(),
-            Isa::X86 => SamcConfig::x86(),
-        }
-        .with_block_size(DECODE_BLOCK);
-        let arith = SamcCodec::train(&text, config)?;
-        let arith_image = cce_core::codec::BlockCodec::compress(&arith, &text)?;
-        let arith_ratio = arith_image.compressed_len() as f64 / text.len() as f64;
-        let arith_mb = time_decode(&arith, &arith_image, &text, iterations)?;
-        if !flags.json {
-            println!(
-                "decode ({PROFILE}/{isa}, {} bytes, {iterations} iterations, {DECODE_BLOCK}-byte blocks):",
-                text.len()
-            );
-            println!("  {:<14} {:>10}  {:>8}  {:>9}", "backend", "MB/s", "ratio", "speedup");
-            println!("  {:<14} {arith_mb:>10.1}  {arith_ratio:>8.4}  {:>9.2}", "arith", 1.0);
-        }
-        let mut lane_reports = Vec::new();
-        for lanes in Lanes::ALL {
-            let rans = SamcRansCodec::from_samc(arith.clone(), lanes);
-            let image = rans.compress(&text)?;
-            let ratio = image.compressed_len() as f64 / text.len() as f64;
-            let mb = time_decode(&rans, &image, &text, iterations)?;
-            let speedup = mb / arith_mb;
-            band_ok &= (image.compressed_len() as f64 - arith_image.compressed_len() as f64).abs()
-                <= 0.02 * arith_image.compressed_len() as f64;
-            if lanes == Lanes::FOUR {
-                speedup_4way = speedup_4way.min(speedup);
-            }
-            if !flags.json {
-                println!(
-                    "  {:<14} {mb:>10.1}  {ratio:>8.4}  {speedup:>9.2}",
-                    format!("rans/{lanes}-way")
-                );
-            }
-            lane_reports.push(format!(
-                concat!(
-                    "{{\"lanes\":{lanes},\"mb_per_s\":{mb:.2},\"ratio\":{ratio:.6},",
-                    "\"ratio_delta\":{delta:.6},\"speedup\":{speedup:.3}}}"
-                ),
-                lanes = lanes.get(),
-                mb = mb,
-                ratio = ratio,
-                delta = ratio - arith_ratio,
-                speedup = speedup,
-            ));
-        }
-        isa_reports.push(format!(
-            concat!(
-                "{{\"isa\":\"{isa}\",\"corpus_bytes\":{corpus},\"iterations\":{iterations},",
-                "\"arith\":{{\"mb_per_s\":{arith_mb:.2},\"ratio\":{arith_ratio:.6}}},",
-                "\"rans\":[{lanes}]}}"
-            ),
-            isa = match isa {
-                Isa::Mips => "mips",
-                Isa::X86 => "x86",
-            },
-            corpus = text.len(),
-            iterations = iterations,
-            arith_mb = arith_mb,
-            arith_ratio = arith_ratio,
-            lanes = lane_reports.join(","),
-        ));
-    }
-    let artifact = format!(
-        concat!(
-            "{{\"version\":1,\"benchmark\":\"decode\",\"profile\":\"{profile}\",",
-            "\"scale\":{scale},\"seed\":{seed},\"block_size\":{block},",
-            "\"isas\":[{isas}],",
-            "\"matches_arith_ratio_band\":{band},\"speedup_4way\":{speedup:.3}}}"
-        ),
-        profile = PROFILE,
-        scale = flags.scale,
-        seed = flags.seed,
-        block = DECODE_BLOCK,
-        isas = isa_reports.join(","),
-        band = band_ok,
-        speedup = speedup_4way,
-    );
-    let path = flags.output.unwrap_or("BENCH_decode.json");
-    std::fs::write(path, terminated(artifact.clone()))?;
-    if flags.json {
-        println!("{artifact}");
-    } else {
-        println!(
-            "decode bench: 4-way rANS speedup {speedup_4way:.2}x, arith ratio band {}",
-            if band_ok { "held (±2%)" } else { "VIOLATED" }
-        );
-        println!("  wrote {path}");
-    }
-    write_metrics(flags.metrics, "bench-decode")
-}
-
 /// Parses a comma-separated list of integers for a sweep grid axis.
 fn parse_csv_usize(flag: &str, raw: &str) -> Result<Vec<usize>, String> {
     let mut out = Vec::new();
@@ -887,22 +726,6 @@ fn parse_csv_usize(flag: &str, raw: &str) -> Result<Vec<usize>, String> {
     Ok(out)
 }
 
-/// Parses one `--decoders` axis value: `nibble` or `ransN` (N lanes).
-fn parse_decoder(name: &str) -> Result<cce_core::memsim::sweep::SweepDecoder, String> {
-    use cce_core::memsim::{sweep::SweepDecoder, DecoderLatency};
-    if name == "nibble" {
-        return Ok(SweepDecoder { name: name.into(), latency: DecoderLatency::nibble() });
-    }
-    if let Some(lanes) = name.strip_prefix("rans") {
-        let lanes: usize =
-            lanes.parse().map_err(|_| format!("bad decoder `{name}` (want ransN)"))?;
-        let latency =
-            DecoderLatency::try_rans(lanes).map_err(|e| format!("decoder `{name}`: {e}"))?;
-        return Ok(SweepDecoder { name: name.into(), latency });
-    }
-    Err(format!("unknown decoder `{name}` (want nibble or ransN)"))
-}
-
 /// `cce sweep`: expand and simulate the memory-system design-space grid,
 /// writing the versioned `BENCH_memsim.json` artifact (see README).
 fn sweep(args: &[String]) -> Result<(), Box<dyn Error>> {
@@ -910,7 +733,7 @@ fn sweep(args: &[String]) -> Result<(), Box<dyn Error>> {
     if !flags.positional.is_empty() {
         return Err(concat!(
             "usage: cce sweep [--algos A,B] [--blocks N,..] [--caches N,..] [--assoc N,..] ",
-            "[--clb N,..] [--decoders nibble,ransN] [--fetches N] [--scale F] [--seed S] ",
+            "[--clb N,..] [--fetches N] [--scale F] [--seed S] ",
             "[--workers N] [--bench] [-o OUT.json] [--json] [--metrics M.json]"
         )
         .into());
@@ -933,7 +756,7 @@ fn run_sweep_command(flags: &Flags, with_kernel_leg: bool) -> Result<(), Box<dyn
     use cce_core::codec::compress_parallel;
     use cce_core::isa::mips::encode_text;
     use cce_core::memsim::sweep::{run_sweep, SweepConfig, SweepImage};
-    use cce_core::memsim::{CacheConfig, CostModel, LineAddressTable, MemorySystem};
+    use cce_core::memsim::{CacheConfig, LineAddressTable, MemorySystem};
     use cce_core::workload::trace::{instruction_trace, TraceConfig};
     use cce_core::workload::{generate_mips_seeded, Spec95};
     use std::sync::Arc;
@@ -942,7 +765,8 @@ fn run_sweep_command(flags: &Flags, with_kernel_leg: bool) -> Result<(), Box<dyn
     const PROFILE: &str = "go";
     cce_core::obs::reset();
 
-    // Grid axes (defaults give 144 cells; CI widens --assoc to pass 200).
+    // Grid axes (the defaults give 2 codecs × 3 blocks × 3 caches × 3
+    // associativities × 2 CLB sizes = 108 cells, all of them valid).
     let defaults = SweepConfig::default();
     let algo_names = flags.algos.unwrap_or("samc,huffman");
     let mut algorithms = Vec::new();
@@ -976,23 +800,13 @@ fn run_sweep_command(flags: &Flags, with_kernel_leg: bool) -> Result<(), Box<dyn
         Some(raw) => parse_csv_usize("--clb", raw)?,
         None => defaults.clb_entries.clone(),
     };
-    let decoders = match flags.decoders {
-        Some(raw) => raw
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(parse_decoder)
-            .collect::<Result<Vec<_>, _>>()?,
-        None => defaults.decoders.clone(),
-    };
-    if decoders.is_empty() {
-        return Err("--decoders: no values".into());
+    if clb_entries.contains(&0) {
+        return Err("clb entries must be positive".into());
     }
     let config = SweepConfig {
         cache_sizes,
         associativities,
         clb_entries,
-        decoders,
         memory_latency: defaults.memory_latency,
         bus_bytes_per_cycle: defaults.bus_bytes_per_cycle,
     };
@@ -1057,7 +871,7 @@ fn run_sweep_command(flags: &Flags, with_kernel_leg: bool) -> Result<(), Box<dyn
         cell_json.push(format!(
             concat!(
                 "{{\"codec\":\"{codec}\",\"block_size\":{block},\"cache\":{cache},",
-                "\"assoc\":{assoc},\"clb\":{clb},\"decoder\":\"{decoder}\",",
+                "\"assoc\":{assoc},\"clb\":{clb},",
                 "\"cpf\":{cpf:.6},\"baseline_cpf\":{baseline:.6},\"slowdown\":{slowdown:.6},",
                 "\"cache_hit_ratio\":{cache_hits:.6},\"clb_hit_ratio\":{clb_hits:.6},",
                 "\"refill_cycles\":{refill}}}"
@@ -1067,7 +881,6 @@ fn run_sweep_command(flags: &Flags, with_kernel_leg: bool) -> Result<(), Box<dyn
             cache = r.cell.cache_size,
             assoc = r.cell.associativity,
             clb = r.cell.clb_entries,
-            decoder = config.decoders[r.cell.decoder].name,
             cpf = r.report.cpf(),
             baseline = r.baseline.cpf(),
             slowdown = r.slowdown(),
@@ -1076,31 +889,6 @@ fn run_sweep_command(flags: &Flags, with_kernel_leg: bool) -> Result<(), Box<dyn
             refill = r.report.refill_cycles,
         ));
     }
-
-    // Per-decoder mean CPF, and the arith-vs-rANS refill-latency delta
-    // (nibble models the paper's serial engine; positive delta = the
-    // rANS engine is faster end to end).
-    let mut decoder_json = Vec::new();
-    let mut mean_by_decoder = Vec::new();
-    for (index, decoder) in config.decoders.iter().enumerate() {
-        let cpfs: Vec<f64> =
-            results.iter().filter(|r| r.cell.decoder == index).map(|r| r.report.cpf()).collect();
-        let mean = cpfs.iter().sum::<f64>() / cpfs.len().max(1) as f64;
-        mean_by_decoder.push(mean);
-        decoder_json.push(format!(
-            "{{\"decoder\":\"{name}\",\"cells\":{cells},\"mean_cpf\":{mean:.6}}}",
-            name = decoder.name,
-            cells = cpfs.len(),
-        ));
-    }
-    let nibble_mean =
-        config.decoders.iter().position(|d| d.name == "nibble").map(|i| mean_by_decoder[i]);
-    let rans_mean =
-        config.decoders.iter().position(|d| d.name.starts_with("rans")).map(|i| mean_by_decoder[i]);
-    let arith_rans_delta = match (nibble_mean, rans_mean) {
-        (Some(nibble), Some(rans)) => format!("{:.6}", nibble - rans),
-        _ => "null".into(),
-    };
 
     // Kernel leg (timing — only with --bench, so the plain artifact stays
     // byte-identical across worker counts): the fixed-seed trace through
@@ -1120,11 +908,7 @@ fn run_sweep_command(flags: &Flags, with_kernel_leg: bool) -> Result<(), Box<dyn
             block_size: image.block_size,
             associativity: cell.associativity,
         };
-        let costs = CostModel {
-            memory_latency: config.memory_latency,
-            bus_bytes_per_cycle: config.bus_bytes_per_cycle,
-            decoder: config.decoders[cell.decoder].latency,
-        };
+        let costs = config.costs();
         let fresh =
             || MemorySystem::compressed(cache, costs, Arc::clone(&image.lat), cell.clb_entries);
         // Correctness gate before any timing.
@@ -1161,7 +945,7 @@ fn run_sweep_command(flags: &Flags, with_kernel_leg: bool) -> Result<(), Box<dyn
         format!(
             concat!(
                 "{{\"cell\":{{\"codec\":\"{codec}\",\"block_size\":{block},\"cache\":{cache},",
-                "\"assoc\":{assoc},\"clb\":{clb},\"decoder\":\"{decoder}\"}},",
+                "\"assoc\":{assoc},\"clb\":{clb}}},",
                 "\"fetches\":{fetches},\"reps\":{reps},",
                 "\"reference_ms\":{reference_ms:.3},\"fast_ms\":{fast_ms:.3},",
                 "\"reference_fetches_per_s\":{ref_fps:.0},\"fast_fetches_per_s\":{fast_fps:.0},",
@@ -1172,7 +956,6 @@ fn run_sweep_command(flags: &Flags, with_kernel_leg: bool) -> Result<(), Box<dyn
             cache = cell.cache_size,
             assoc = cell.associativity,
             clb = cell.clb_entries,
-            decoder = config.decoders[cell.decoder].name,
             fetches = trace.len(),
             reps = reps,
             reference_ms = reference_ms,
@@ -1188,14 +971,13 @@ fn run_sweep_command(flags: &Flags, with_kernel_leg: bool) -> Result<(), Box<dyn
 
     let artifact = format!(
         concat!(
-            "{{\"version\":1,\"benchmark\":\"memsim-sweep\",\"profile\":\"{profile}\",",
+            "{{\"version\":2,\"benchmark\":\"memsim-sweep\",\"profile\":\"{profile}\",",
             "\"scale\":{scale},\"seed\":{seed},\"fetches\":{fetches},",
             "\"grid\":{{\"algos\":[{algos}],\"blocks\":{blocks:?},\"caches\":{caches:?},",
-            "\"assoc\":{assoc:?},\"clb\":{clb:?},\"decoders\":[{decoders}],",
+            "\"assoc\":{assoc:?},\"clb\":{clb:?},",
             "\"memory_latency\":{latency},\"bus_bytes_per_cycle\":{bus}}},",
             "\"images\":[{images}],\"cells\":[{cells}],",
-            "\"summary\":{{\"cells\":{cell_count},\"images\":{image_count},",
-            "\"decoder_mean_cpf\":[{decoder_means}],\"arith_rans_delta\":{delta}}},",
+            "\"summary\":{{\"cells\":{cell_count},\"images\":{image_count}}},",
             "\"kernel\":{kernel}}}"
         ),
         profile = PROFILE,
@@ -1207,16 +989,12 @@ fn run_sweep_command(flags: &Flags, with_kernel_leg: bool) -> Result<(), Box<dyn
         caches = config.cache_sizes,
         assoc = config.associativities,
         clb = config.clb_entries,
-        decoders =
-            config.decoders.iter().map(|d| format!("\"{}\"", d.name)).collect::<Vec<_>>().join(","),
         latency = config.memory_latency,
         bus = config.bus_bytes_per_cycle,
         images = image_json.join(","),
         cells = cell_json.join(","),
         cell_count = results.len(),
         image_count = images.len(),
-        decoder_means = decoder_json.join(","),
-        delta = arith_rans_delta,
         kernel = kernel,
     );
     let path = flags.output.unwrap_or("BENCH_memsim.json");
@@ -1225,11 +1003,10 @@ fn run_sweep_command(flags: &Flags, with_kernel_leg: bool) -> Result<(), Box<dyn
         println!("{artifact}");
     } else {
         println!(
-            "sweep: {} cells over {} images ({} fetches each), arith-vs-rANS mean CPF delta {}",
+            "sweep: {} cells over {} images ({} fetches each)",
             results.len(),
             images.len(),
             trace.len(),
-            arith_rans_delta,
         );
         println!("  wrote {path}");
     }

@@ -561,10 +561,12 @@ mod tests {
         let mut bad = bytes.clone();
         bad[3] = b'1'; // another container version's magic
         assert!(typed(&bad));
-        // Unknown codec tag.
-        let mut bad = bytes.clone();
-        bad[4] = 0xEE;
-        assert!(typed(&bad));
+        // Unknown codec tags, including 5 (the retired samc-rans tag).
+        for tag in [5, 0xEE] {
+            let mut bad = bytes.clone();
+            bad[4] = tag;
+            assert!(typed(&bad), "codec tag {tag}");
+        }
         // File-oriented codec tag.
         let mut bad = bytes.clone();
         bad[4] = Algorithm::Gzip.tag();

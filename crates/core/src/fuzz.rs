@@ -377,46 +377,6 @@ impl FuzzTarget for FileTextTarget {
     }
 }
 
-/// Mutates one raw interleaved-rANS block stream: the header tag, the
-/// per-lane final states, and the renorm word stream all sit in the
-/// mutation surface.  The decoder must reject malformed streams with
-/// typed errors (truncation mid-refill, bad lane tag, lane-state
-/// under-run) and never panic; a stream it accepts must produce exactly
-/// the block's declared output length.
-struct RansStreamTarget {
-    codec: cce_rans::SamcRansCodec,
-    block_bytes: Vec<u8>,
-    out_len: usize,
-}
-
-impl FuzzTarget for RansStreamTarget {
-    fn name(&self) -> String {
-        "samc-rans/stream".into()
-    }
-
-    fn artifact(&self) -> Artifact {
-        // Header tag, each lane's 4-byte final state, then the shared
-        // renorm word stream (spliced at a word boundary).
-        let lanes = self.codec.lanes().get();
-        let mut boundaries: Vec<usize> = (0..=lanes).map(|i| 1 + 4 * i).collect();
-        let words_mid = 1 + 4 * lanes + (self.block_bytes.len() - 1 - 4 * lanes) / 4 * 2;
-        boundaries.push(words_mid);
-        Artifact::with_boundaries("rans stream", self.block_bytes.clone(), boundaries)
-    }
-
-    fn run(&self, bytes: &[u8]) -> Outcome {
-        match self.codec.decompress_block(bytes, self.out_len) {
-            Ok(block) if block.len() == self.out_len => Outcome::Decoded,
-            Ok(block) => Outcome::Violation(format!(
-                "decoder returned {} bytes for a {}-byte block",
-                block.len(),
-                self.out_len
-            )),
-            Err(e) => Outcome::Rejected(e),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Serving-tier targets
 // ---------------------------------------------------------------------
@@ -654,10 +614,8 @@ fn block_targets_for(
 /// Block algorithms get three targets (codec model, `.cce` container,
 /// differential text); SAMC additionally gets the model-store record
 /// target, SADC the x86 codec, container and text targets since its two
-/// ISA variants are distinct decoders, and samc-rans a raw-stream target
-/// putting the rANS header, lane states, and renorm words in the
-/// mutation surface.  File algorithms get a mutated-stream target and a
-/// round-trip text target.
+/// ISA variants are distinct decoders.  File algorithms get a
+/// mutated-stream target and a round-trip text target.
 ///
 /// # Panics
 ///
@@ -705,24 +663,6 @@ pub fn targets(algorithm: Algorithm) -> Vec<Box<dyn FuzzTarget>> {
             all.append(&mut x86);
             all
         }
-        Algorithm::SamcRans => {
-            let text = mips_text();
-            let mut all =
-                block_targets_for(algorithm, Isa::Mips, &algorithm.to_string(), text.clone());
-            // The rANS-specific decode surface: one raw block stream with
-            // its self-describing header in the mutation surface.
-            let codec = cce_rans::SamcRansCodec::train(
-                &text,
-                cce_samc::SamcConfig::mips(),
-                cce_rans::Lanes::default(),
-            )
-            .expect("samc-rans: golden training failed (stream target)");
-            let image = codec.compress(&text).expect("samc-rans: golden compression succeeds");
-            let block_bytes = image.block(0).to_vec();
-            let out_len = image.block_uncompressed_len(0);
-            all.push(Box::new(RansStreamTarget { codec, block_bytes, out_len }));
-            all
-        }
     }
 }
 
@@ -755,7 +695,6 @@ mod tests {
         assert_eq!(targets(Algorithm::ByteHuffman).len(), 3);
         assert_eq!(targets(Algorithm::Samc).len(), 4);
         assert_eq!(targets(Algorithm::Sadc).len(), 6);
-        assert_eq!(targets(Algorithm::SamcRans).len(), 4);
         assert_eq!(serve_targets().len(), 2);
     }
 

@@ -60,7 +60,6 @@ pub use cce_huffman as huffman;
 pub use cce_isa as isa;
 pub use cce_lz as lz;
 pub use cce_memsim as memsim;
-pub use cce_rans as rans;
 pub use cce_sadc as sadc;
 pub use cce_samc as samc;
 pub use cce_serve as serve;

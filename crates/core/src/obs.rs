@@ -19,10 +19,9 @@ pub const METRICS_FORMAT_VERSION: u32 = 1;
 
 /// Every metric descriptor registered across the workspace, in a stable
 /// order: arith, samc, sadc, huffman, lz, codec, memsim, the streaming
-/// pipeline, the serving tier, the rANS backend, then the memsim sweep
-/// driver (each new family is appended last so
-/// the artifact order of every earlier metric is unchanged — the
-/// registry is append-only).
+/// pipeline, the serving tier, then the memsim sweep driver (each new
+/// family is appended last so the artifact order of every earlier metric
+/// is unchanged).
 pub fn descriptors() -> Vec<Desc> {
     let mut all = Vec::new();
     all.extend(cce_arith::obs::descriptors());
@@ -34,7 +33,6 @@ pub fn descriptors() -> Vec<Desc> {
     all.extend(cce_memsim::obs::descriptors());
     all.extend(cce_codec::obs::pipeline_descriptors());
     all.extend(cce_serve::obs::descriptors());
-    all.extend(cce_rans::obs::descriptors());
     all.extend(cce_memsim::obs::sweep_descriptors());
     all
 }

@@ -13,13 +13,11 @@ use cce_codec::{BlockCodec, CodecError, FileCodec};
 use cce_huffman::block::ByteBlockCodec;
 use cce_isa::Isa;
 use cce_lz::{Gzip, Lzw};
-use cce_rans::{Lanes, SamcRansCodec};
 use cce_sadc::{MipsSadc, MipsSadcConfig, X86Sadc, X86SadcConfig};
 use cce_samc::{SamcCodec, SamcConfig};
 use std::fmt;
 
-/// The compression algorithms compared in the paper's evaluation (§5),
-/// plus the interleaved-rANS variant of SAMC.
+/// The compression algorithms compared in the paper's evaluation (§5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// UNIX `compress` (LZW) — file-oriented baseline.
@@ -32,19 +30,16 @@ pub enum Algorithm {
     Samc,
     /// SADC — semiadaptive dictionary compression (this paper).
     Sadc,
-    /// SAMC's Markov models over a 4-way interleaved rANS coder.
-    SamcRans,
 }
 
 impl Algorithm {
-    /// All algorithms, in the figures' legend order (extensions last).
-    pub const ALL: [Algorithm; 6] = [
+    /// All algorithms, in the figures' legend order.
+    pub const ALL: [Algorithm; 5] = [
         Algorithm::UnixCompress,
         Algorithm::Gzip,
         Algorithm::ByteHuffman,
         Algorithm::Samc,
         Algorithm::Sadc,
-        Algorithm::SamcRans,
     ];
 
     /// Whether this algorithm supports cache-block random access (the
@@ -62,7 +57,6 @@ impl Algorithm {
             "huffman" => Some(Algorithm::ByteHuffman),
             "samc" => Some(Algorithm::Samc),
             "sadc" => Some(Algorithm::Sadc),
-            "samc-rans" | "rans" => Some(Algorithm::SamcRans),
             _ => None,
         }
     }
@@ -75,7 +69,6 @@ impl Algorithm {
             Algorithm::ByteHuffman => 2,
             Algorithm::Samc => 3,
             Algorithm::Sadc => 4,
-            Algorithm::SamcRans => 5,
         }
     }
 
@@ -99,7 +92,6 @@ impl fmt::Display for Algorithm {
             Algorithm::ByteHuffman => "huffman",
             Algorithm::Samc => "SAMC",
             Algorithm::Sadc => "SADC",
-            Algorithm::SamcRans => "samc-rans",
         };
         write!(f, "{name}")
     }
@@ -152,14 +144,6 @@ impl CodecBuilder {
                 .with_block_size(self.block_size);
                 CodecHandle::Block(Box::new(SamcCodec::train(text, config)?))
             }
-            Algorithm::SamcRans => {
-                let config = match self.isa {
-                    Isa::Mips => SamcConfig::mips(),
-                    Isa::X86 => SamcConfig::x86(),
-                }
-                .with_block_size(self.block_size);
-                CodecHandle::Block(Box::new(SamcRansCodec::train(text, config, Lanes::default())?))
-            }
             Algorithm::Sadc => match self.isa {
                 Isa::Mips => {
                     let config =
@@ -198,7 +182,6 @@ impl CodecBuilder {
                 CodecHandle::Block(Box::new(ByteBlockCodec::from_bytes(bytes)?))
             }
             Algorithm::Samc => CodecHandle::Block(Box::new(SamcCodec::from_bytes(bytes)?)),
-            Algorithm::SamcRans => CodecHandle::Block(Box::new(SamcRansCodec::from_bytes(bytes)?)),
             Algorithm::Sadc => match self.isa {
                 Isa::Mips => CodecHandle::Block(Box::new(MipsSadc::from_bytes(bytes)?)),
                 Isa::X86 => CodecHandle::Block(Box::new(X86Sadc::from_bytes(bytes)?)),

@@ -17,8 +17,8 @@
 //! * [`Clb`] — small fully-associative cache of LAT entries.
 //! * [`MemorySystem`] — ties them together and runs fetch traces,
 //!   reporting cycles under a parameterized cost model.
-//! * [`sweep`] — expands a design-space grid (image × cache × CLB ×
-//!   decoder) and simulates it on a deterministic worker pool.
+//! * [`sweep`] — expands a design-space grid (image × cache × CLB) and
+//!   simulates it on a deterministic worker pool.
 //!
 //! # Examples
 //!
@@ -43,6 +43,4 @@ mod system;
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use clb::Clb;
 pub use lat::{LatError, LineAddressTable};
-pub use system::{
-    CostModel, DecoderLatency, LatencyError, MemorySystem, RefillDecompressor, SimReport,
-};
+pub use system::{CostModel, DecoderLatency, MemorySystem, RefillDecompressor, SimReport};

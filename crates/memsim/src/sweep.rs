@@ -1,8 +1,9 @@
 //! Parallel design-space sweep over the memory-system grid.
 //!
 //! A sweep expands a configuration grid — compressed image (codec ×
-//! block size) × cache size × associativity × CLB entries × decoder —
-//! into cells and simulates every cell over one shared fetch trace.
+//! block size) × cache size × associativity × CLB entries — into cells
+//! and simulates every cell over one shared fetch trace, charging every
+//! refill the paper's nibble decompression engine.
 //! The expensive inputs are built exactly once and shared immutably:
 //! each [`SweepImage`] carries its [`LineAddressTable`] behind an
 //! [`Arc`], the trace is decoded once by the caller, and uncompressed
@@ -39,15 +40,6 @@ pub struct SweepImage {
     pub text_bytes: u64,
 }
 
-/// A named decoder-latency grid axis value.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepDecoder {
-    /// Display name (e.g. `"nibble"`, `"rans4"`).
-    pub name: String,
-    /// The refill-path timing this decoder contributes.
-    pub latency: DecoderLatency,
-}
-
 /// The sweep grid: per-image axes plus the fixed memory-path costs.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
@@ -57,8 +49,6 @@ pub struct SweepConfig {
     pub associativities: Vec<usize>,
     /// CLB capacities in lines.
     pub clb_entries: Vec<usize>,
-    /// Decompression-engine latencies.
-    pub decoders: Vec<SweepDecoder>,
     /// Main-memory access latency in cycles.
     pub memory_latency: u64,
     /// Bus bytes per cycle.
@@ -72,10 +62,6 @@ impl Default for SweepConfig {
             cache_sizes: vec![1024, 2048, 4096],
             associativities: vec![1, 2, 4],
             clb_entries: vec![8, 32],
-            decoders: vec![
-                SweepDecoder { name: "nibble".into(), latency: DecoderLatency::nibble() },
-                SweepDecoder { name: "rans4".into(), latency: DecoderLatency::rans(4) },
-            ],
             memory_latency: base.memory_latency,
             bus_bytes_per_cycle: base.bus_bytes_per_cycle,
         }
@@ -84,11 +70,11 @@ impl Default for SweepConfig {
 
 impl SweepConfig {
     /// Expands the grid against `images` into cells, in the fixed
-    /// nesting order image → cache size → associativity → CLB entries →
-    /// decoder.  Cells whose cache geometry is impossible (capacity not
-    /// divisible, set count or block size not a power of two) are
-    /// skipped rather than simulated — the grid axes are free-form, the
-    /// cache model is not.
+    /// nesting order image → cache size → associativity → CLB entries.
+    /// Cells whose cache geometry is impossible (capacity not divisible,
+    /// set count or block size not a power of two) are skipped rather
+    /// than simulated — the grid axes are free-form, the cache model is
+    /// not.
     pub fn expand(&self, images: &[SweepImage]) -> Vec<SweepCell> {
         let mut cells = Vec::new();
         for (image, spec) in images.iter().enumerate() {
@@ -102,16 +88,8 @@ impl SweepConfig {
                     if !config.is_valid() {
                         continue;
                     }
-                    for &clb in &self.clb_entries {
-                        for decoder in 0..self.decoders.len() {
-                            cells.push(SweepCell {
-                                image,
-                                cache_size,
-                                associativity,
-                                clb_entries: clb,
-                                decoder,
-                            });
-                        }
+                    for &clb_entries in &self.clb_entries {
+                        cells.push(SweepCell { image, cache_size, associativity, clb_entries });
                     }
                 }
             }
@@ -119,17 +97,18 @@ impl SweepConfig {
         cells
     }
 
-    /// The cost model a given decoder axis value induces.
-    fn costs(&self, decoder: usize) -> CostModel {
+    /// The one cost model every cell and baseline runs under: the
+    /// grid's memory path and the nibble decompression engine.
+    pub fn costs(&self) -> CostModel {
         CostModel {
             memory_latency: self.memory_latency,
             bus_bytes_per_cycle: self.bus_bytes_per_cycle,
-            decoder: self.decoders[decoder].latency,
+            decoder: DecoderLatency::nibble(),
         }
     }
 }
 
-/// One grid cell: indices into the image/decoder axes plus the concrete
+/// One grid cell: an index into the image axis plus the concrete
 /// cache/CLB geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepCell {
@@ -141,8 +120,6 @@ pub struct SweepCell {
     pub associativity: usize,
     /// CLB capacity in lines.
     pub clb_entries: usize,
-    /// Index into [`SweepConfig::decoders`].
-    pub decoder: usize,
 }
 
 /// A simulated cell with its uncompressed baseline.
@@ -153,7 +130,7 @@ pub struct CellResult {
     /// The compressed system's report.
     pub report: SimReport,
     /// The uncompressed baseline at the same cache geometry (shared by
-    /// every cell with that geometry; decoder-independent).
+    /// every cell with that geometry).
     pub baseline: SimReport,
 }
 
@@ -175,8 +152,9 @@ impl CellResult {
 ///
 /// # Panics
 ///
-/// Panics if a cell references an out-of-range image or decoder index
-/// (impossible for cells produced by [`SweepConfig::expand`]).
+/// Panics if a cell references an out-of-range image index (impossible
+/// for cells produced by [`SweepConfig::expand`]), or if a CLB capacity
+/// is zero.
 pub fn run_sweep(
     images: &[SweepImage],
     config: &SweepConfig,
@@ -187,7 +165,7 @@ pub fn run_sweep(
     let cells = config.expand(images);
 
     // Uncompressed baselines depend only on the cache geometry, never on
-    // the codec or decoder: simulate each distinct geometry exactly once.
+    // the codec or CLB: simulate each distinct geometry exactly once.
     let geometries: Vec<(usize, usize, usize)> = {
         let set: std::collections::BTreeSet<_> = cells
             .iter()
@@ -195,17 +173,13 @@ pub fn run_sweep(
             .collect();
         set.into_iter().collect()
     };
-    let baseline_costs = CostModel {
-        memory_latency: config.memory_latency,
-        bus_bytes_per_cycle: config.bus_bytes_per_cycle,
-        decoder: DecoderLatency::default(),
-    };
+    let costs = config.costs();
     let baseline_reports = cce_codec::parallel_map(
         workers,
         &geometries,
         |_, &(block_size, size_bytes, associativity)| {
             let cache = CacheConfig { size_bytes, block_size, associativity };
-            MemorySystem::uncompressed(cache, baseline_costs).run(trace)
+            MemorySystem::uncompressed(cache, costs).run(trace)
         },
     );
     let baselines: BTreeMap<(usize, usize, usize), SimReport> =
@@ -218,12 +192,8 @@ pub fn run_sweep(
             block_size: image.block_size,
             associativity: cell.associativity,
         };
-        let mut system = MemorySystem::compressed(
-            cache,
-            config.costs(cell.decoder),
-            Arc::clone(&image.lat),
-            cell.clb_entries,
-        );
+        let mut system =
+            MemorySystem::compressed(cache, costs, Arc::clone(&image.lat), cell.clb_entries);
         let report = system.run(trace);
         let baseline = baselines[&(image.block_size, cell.cache_size, cell.associativity)];
         CellResult { cell: *cell, report, baseline }
@@ -264,10 +234,11 @@ mod tests {
         };
         let images = [image(32, 64, 18)];
         let cells = config.expand(&images);
-        // 1 image × 1 valid cache × 1 assoc × 1 clb × 2 decoders.
-        assert_eq!(cells.len(), 2);
-        assert!(cells.iter().all(|c| c.cache_size == 1024));
-        assert_eq!((cells[0].decoder, cells[1].decoder), (0, 1));
+        // 1 image × 1 valid cache × 1 assoc × 1 clb.
+        assert_eq!(
+            cells,
+            [SweepCell { image: 0, cache_size: 1024, associativity: 1, clb_entries: 8 }]
+        );
     }
 
     #[test]
@@ -283,16 +254,18 @@ mod tests {
     }
 
     #[test]
-    fn baselines_are_shared_per_geometry_and_decoder_independent() {
+    fn baselines_are_shared_per_geometry_and_clb_independent() {
         let images = [image(32, 512, 18)];
         let config = SweepConfig::default();
         let trace = trace(10_000);
         let results = run_sweep(&images, &config, &trace, 2);
         for pair in results.chunks(2) {
-            // Adjacent cells differ only in decoder: same baseline.
+            // Adjacent cells differ only in CLB capacity: same baseline.
+            assert_eq!(pair[0].cell.clb_entries, 8);
+            assert_eq!(pair[1].cell.clb_entries, 32);
             assert_eq!(pair[0].baseline, pair[1].baseline);
-            // A slower decoder can never speed the compressed system up.
-            assert!(pair[0].slowdown() >= 1.0);
+            // Compression can never speed the memory system up.
+            assert!(pair[0].slowdown() >= 1.0 && pair[1].slowdown() >= 1.0);
         }
     }
 

@@ -3,8 +3,6 @@
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::clb::Clb;
 use crate::lat::LineAddressTable;
-use std::error::Error;
-use std::fmt;
 use std::sync::Arc;
 
 /// A block decompressor the refill engine can drive, for *functional*
@@ -38,25 +36,6 @@ pub trait RefillDecompressor {
     }
 }
 
-/// Errors from the checked [`DecoderLatency`] constructors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LatencyError {
-    /// A rANS engine with zero lanes: `8.0 / 0` would make
-    /// `cycles_per_byte` infinite and silently poison every cycle count
-    /// downstream.
-    ZeroLanes,
-}
-
-impl fmt::Display for LatencyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::ZeroLanes => write!(f, "rANS decoder needs at least one lane"),
-        }
-    }
-}
-
-impl Error for LatencyError {}
-
 /// Timing of the decompression engine sitting on the refill path.
 ///
 /// Per-refill cost is `startup_cycles + ceil(block_bytes ·
@@ -75,31 +54,6 @@ impl DecoderLatency {
     /// half a byte — retired per cycle.
     pub fn nibble() -> Self {
         Self { startup_cycles: 0, cycles_per_byte: 2.0 }
-    }
-
-    /// An `lanes`-way interleaved rANS engine: one cycle for the stream
-    /// tag plus one per 32-bit lane state, then `lanes` bits per cycle
-    /// (each lane retires a bit per cycle once primed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`; use [`DecoderLatency::try_rans`] for a
-    /// typed error instead.
-    pub fn rans(lanes: usize) -> Self {
-        Self::try_rans(lanes).expect("rANS decoder needs at least one lane")
-    }
-
-    /// Like [`DecoderLatency::rans`], but returns a typed error in place
-    /// of the panic.
-    ///
-    /// # Errors
-    ///
-    /// [`LatencyError::ZeroLanes`] if `lanes == 0`.
-    pub fn try_rans(lanes: usize) -> Result<Self, LatencyError> {
-        if lanes == 0 {
-            return Err(LatencyError::ZeroLanes);
-        }
-        Ok(Self { startup_cycles: 1 + lanes as u64, cycles_per_byte: 8.0 / lanes as f64 })
     }
 }
 
@@ -553,21 +507,5 @@ mod tests {
         let mut owned = MemorySystem::compressed(cache_config(), CostModel::default(), lat, 16);
         let mut arced = MemorySystem::compressed(cache_config(), CostModel::default(), shared, 16);
         assert_eq!(owned.run(&trace), arced.run(&trace));
-    }
-
-    #[test]
-    fn rans_zero_lanes_is_a_typed_error() {
-        assert_eq!(DecoderLatency::try_rans(0), Err(LatencyError::ZeroLanes));
-        assert!(LatencyError::ZeroLanes.to_string().contains("at least one lane"));
-        let four = DecoderLatency::try_rans(4).expect("4 lanes is legal");
-        assert_eq!(four, DecoderLatency::rans(4));
-        assert_eq!(four.startup_cycles, 5);
-        assert_eq!(four.cycles_per_byte, 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one lane")]
-    fn rans_zero_lanes_panics_unchecked() {
-        let _ = DecoderLatency::rans(0);
     }
 }

@@ -60,13 +60,14 @@ fn cold_sequential_misses_pay_one_lat_fetch_per_clb_line() {
 }
 
 #[test]
-fn rans_decoder_swaps_into_the_refill_formula() {
-    // The same compressed system with an 8-way interleaved rANS engine:
-    // startup = 1 + 8 = 9 cycles (stream tag + lane states), then a byte
-    // per cycle — so a 32-byte block decompresses in 9 + 32 = 41 cycles
-    // instead of the nibble engine's 64.
+fn startup_cycles_add_to_the_refill_formula() {
+    // The same compressed system with an engine that pays a 9-cycle
+    // start-up per block, then produces a byte per cycle — so a 32-byte
+    // block decompresses in 9 + 32 = 41 cycles instead of the nibble
+    // engine's 64.
     let config = CacheConfig { size_bytes: 1024, block_size: 32, associativity: 2 };
-    let costs = CostModel { decoder: DecoderLatency::rans(8), ..costs() };
+    let decoder = DecoderLatency { startup_cycles: 9, cycles_per_byte: 1.0 };
+    let costs = CostModel { decoder, ..costs() };
     let lat = LineAddressTable::from_block_sizes(vec![20; 32]);
     let mut sys = MemorySystem::compressed(config, costs, lat, 16);
     let report = sys.run(&[0u64]);
@@ -101,12 +102,12 @@ fn fast_kernel_pins_under_nibble_latency() {
 }
 
 #[test]
-fn fast_kernel_pins_under_rans4_latency() {
-    // 4-way interleaved rANS: startup = 1 + 4 = 5 cycles, then 4 bits per
-    // cycle = 2.0 cycles/byte — a 32-byte block decompresses in
-    // 5 + ceil(32·2.0) = 69 cycles.
+fn fast_kernel_pins_under_a_startup_latency() {
+    // The nibble engine's 2.0 cycles/byte behind a 5-cycle start-up: a
+    // 32-byte block decompresses in 5 + ceil(32·2.0) = 69 cycles.
     let config = CacheConfig { size_bytes: 1024, block_size: 32, associativity: 2 };
-    let costs = CostModel { decoder: DecoderLatency::rans(4), ..costs() };
+    let decoder = DecoderLatency { startup_cycles: 5, cycles_per_byte: 2.0 };
+    let costs = CostModel { decoder, ..costs() };
     let lat = || LineAddressTable::from_block_sizes(vec![18; 32]);
     let trace: Vec<u64> = vec![0, 32, 64, 0, 32, 64];
 

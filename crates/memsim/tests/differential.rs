@@ -5,7 +5,9 @@
 //! same final stats — across seeded random geometries and traces.
 
 use cce_memsim::sweep::{run_sweep, SweepConfig, SweepImage};
-use cce_memsim::{Cache, CacheConfig, Clb, CostModel, LineAddressTable, MemorySystem};
+use cce_memsim::{
+    Cache, CacheConfig, Clb, CostModel, DecoderLatency, LineAddressTable, MemorySystem,
+};
 use cce_rng::Rng;
 use std::sync::Arc;
 
@@ -154,7 +156,7 @@ fn sweep_cells_match_standalone_simulations() {
         let costs = CostModel {
             memory_latency: config.memory_latency,
             bus_bytes_per_cycle: config.bus_bytes_per_cycle,
-            decoder: config.decoders[cell.decoder].latency,
+            decoder: DecoderLatency::nibble(),
         };
         let mut standalone =
             MemorySystem::compressed(cache, costs, Arc::clone(&image.lat), cell.clb_entries);

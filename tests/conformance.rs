@@ -14,8 +14,8 @@ fn text_for(isa: Isa) -> Vec<u8> {
     spec95_suite(isa, 0.05).into_iter().find(|p| p.name == "ijpeg").expect("in suite").text
 }
 
-fn block_algorithms() -> [Algorithm; 4] {
-    [Algorithm::ByteHuffman, Algorithm::Samc, Algorithm::Sadc, Algorithm::SamcRans]
+fn block_algorithms() -> [Algorithm; 3] {
+    [Algorithm::ByteHuffman, Algorithm::Samc, Algorithm::Sadc]
 }
 
 fn trained_block_codec(algorithm: Algorithm, isa: Isa, text: &[u8]) -> Box<dyn BlockCodec> {

@@ -67,22 +67,6 @@ fn serve_decode_surfaces_survive_the_mutation_budget() {
     }
 }
 
-/// The interleaved-rANS decode surface is pinned into the fuzz wall: the
-/// dedicated raw-stream target (header tag, lane states, renorm words)
-/// must exist alongside the five standard block-codec targets, and its
-/// mutants must actually exercise the reject paths.
-#[test]
-fn rans_stream_target_is_registered_and_bites() {
-    let reports = run(Algorithm::SamcRans, &CONFIG);
-    let stream = reports
-        .iter()
-        .find(|r| r.target == "samc-rans/stream")
-        .expect("samc-rans/stream target registered");
-    assert!(stream.is_clean(), "{} failures", stream.failures.len());
-    assert!(stream.rejected > 0, "rANS stream mutants never hit a reject path");
-    assert!(stream.decoded > 0, "rANS stream target never decoded (case 0 is pristine)");
-}
-
 /// The harness is deterministic: the same seed yields byte-identical
 /// reports, so any failure it ever finds is replayable.
 #[test]

@@ -15,9 +15,8 @@ use cce_core::{measure, Algorithm};
 // amortize the fixed model/dictionary tables the ratios include.
 const SCALE: f64 = 0.5;
 
-/// The paper's five evaluated schemes, in legend order.  The registry
-/// also carries post-paper extensions (samc-rans); the figure-shape pins
-/// cover only what §5 published.
+/// The paper's five evaluated schemes, in legend order — the whole
+/// registry; the figure-shape pins cover what §5 published.
 const PAPER_ALGOS: [Algorithm; 5] = [
     Algorithm::UnixCompress,
     Algorithm::Gzip,
