@@ -9,6 +9,11 @@
 //! * [`BitReader`] unpacks them again, tracking the consumed position so a
 //!   decoder can stop exactly at a cache-block boundary.
 //!
+//! Both move a whole field per call through one 64-bit word rather than
+//! looping over its bits; `tests/oracle.rs` holds them to the bit-serial
+//! loops kept in `tests/reference/` (same bytes, values, positions,
+//! errors and panics).
+//!
 //! A small [`ByteCursor`] is also provided for the fixed-width little/big
 //! endian reads needed by the ELF parser and container formats.
 //!

@@ -74,15 +74,43 @@ impl<'a> BitReader<'a> {
     ///
     /// Panics if `count > 32`.
     pub fn read_bits(&mut self, count: u32) -> Result<u32, EndOfStreamError> {
-        assert!(count <= 32, "cannot read more than 32 bits at once");
+        let value = self.peek_bits(count); // asserts `count <= 32`
         if self.remaining_bits() < count as usize {
             return Err(EndOfStreamError::new(self.bit_position));
         }
-        let mut value = 0u32;
-        for _ in 0..count {
-            value = value << 1 | u32::from(self.read_bit().expect("length checked"));
-        }
+        self.bit_position += count as usize;
         Ok(value)
+    }
+
+    /// Returns the next `count` bits like [`read_bits`](Self::read_bits)
+    /// without consuming them; bits past the end of the stream read as
+    /// zero.
+    ///
+    /// This is the lookahead a table-driven decoder indexes with: it may
+    /// peek a full table width even when the stream's last codeword is
+    /// shorter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count > 32`.
+    pub fn peek_bits(&self, count: u32) -> u32 {
+        assert!(count <= 32, "cannot read more than 32 bits at once");
+        if count == 0 {
+            return 0;
+        }
+        // One big-endian load of the 8 bytes holding the position covers
+        // up to 7 + 32 bits; a load running off the end is zero-filled.
+        let start = self.bit_position / 8;
+        let word = match self.bytes.get(start..start + 8) {
+            Some(window) => u64::from_be_bytes(window.try_into().expect("8-byte window")),
+            None => {
+                let tail = self.bytes.get(start..).unwrap_or(&[]);
+                let mut window = [0u8; 8];
+                window[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(window)
+            }
+        };
+        (word << (self.bit_position % 8) >> (64 - count)) as u32
     }
 
     /// Reads one whole byte (8 bits, not necessarily aligned).

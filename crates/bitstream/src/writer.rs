@@ -59,28 +59,37 @@ impl BitWriter {
             count == 32 || value >> count == 0,
             "value {value:#x} does not fit in {count} bits"
         );
-        for i in (0..count).rev() {
-            self.write_bit(value >> i & 1 == 1);
+        if count == 0 {
+            return;
         }
+        // Left-justify the unfinished byte's bits and then `value` in one
+        // word (at most 7 + 32 bits), then store its leading bytes.
+        let used = u32::from(self.partial_bits);
+        let head = if used == 0 { 0 } else { self.bytes.pop().expect("partial byte present") };
+        let bits = used + count;
+        let word = u64::from(head) << 56 | u64::from(value) << (64 - bits);
+        self.bytes.extend_from_slice(&word.to_be_bytes()[..bits.div_ceil(8) as usize]);
+        self.partial_bits = (bits % 8) as u8;
     }
 
     /// Appends a whole byte (8 bits).
     pub fn write_byte(&mut self, byte: u8) {
-        if self.partial_bits == 0 {
-            self.bytes.push(byte);
-        } else {
-            self.write_bits(u32::from(byte), 8);
-        }
+        self.write_bytes(&[byte]);
     }
 
     /// Appends a byte slice.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
-        if self.partial_bits == 0 {
+        let used = self.partial_bits;
+        if used == 0 {
             self.bytes.extend_from_slice(bytes);
-        } else {
-            for &b in bytes {
-                self.write_byte(b);
-            }
+            return;
+        }
+        // Each byte straddles the boundary: its high bits finish the
+        // current partial byte, its low bits start the next one.
+        self.bytes.reserve(bytes.len());
+        for &b in bytes {
+            *self.bytes.last_mut().expect("partial byte present") |= b >> used;
+            self.bytes.push(b << (8 - used));
         }
     }
 

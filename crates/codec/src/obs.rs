@@ -13,9 +13,11 @@ pub static PAR_STAGE_MICROS: Histogram = Histogram::new();
 /// Wall-clock time of whole `parallel_map` stages (claim to join).
 pub static PAR_STAGE_SPAN: SpanStat = SpanStat::new();
 
-/// High-water mark of the streaming pipeline's bounded input queue.
+/// High-water mark of the streaming pipeline's bounded input queue, in
+/// batches of blocks.
 pub static PIPELINE_QUEUE_DEPTH: Gauge = Gauge::new();
-/// Times the pipeline producer blocked on a full queue (backpressure).
+/// Times the pipeline producer blocked on a full queue of batches
+/// (backpressure).
 pub static PIPELINE_STALL: Counter = Counter::new();
 /// Blocks pushed through the streaming pipeline.
 pub static PIPELINE_BLOCKS: Counter = Counter::new();
@@ -51,12 +53,12 @@ pub fn pipeline_descriptors() -> [Desc; 4] {
     [
         Desc::gauge(
             "pipeline.queue.depth",
-            "peak depth of the streaming pipeline's bounded input queue",
+            "peak depth, in batches of blocks, of the streaming pipeline's bounded input queue",
             &PIPELINE_QUEUE_DEPTH,
         ),
         Desc::counter(
             "pipeline.stall",
-            "producer blocks on a full pipeline queue (backpressure events)",
+            "producer blocks on a full pipeline queue of block batches (backpressure events)",
             &PIPELINE_STALL,
         ),
         Desc::counter(

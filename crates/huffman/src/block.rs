@@ -175,7 +175,10 @@ impl BlockCodec for ByteBlockCodec {
     fn compress_chunk(&self, chunk: &[u8]) -> Result<Vec<u8>, CodecError> {
         let _span = crate::obs::COMPRESS_SPAN.time();
         crate::obs::ENCODED_SYMBOLS.add(chunk.len() as u64);
-        let mut w = BitWriter::new();
+        // A block rarely codes longer than its input: sizing the buffer
+        // up front spares the grow-by-realloc steps, which serialize
+        // concurrent workers inside the allocator.
+        let mut w = BitWriter::with_capacity(chunk.len());
         for &b in chunk {
             if self.book.length(u16::from(b)) == 0 {
                 return Err(CodecError::train(

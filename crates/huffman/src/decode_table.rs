@@ -97,21 +97,15 @@ impl DecodeTable {
     ///
     /// Same conditions as [`CodeBook::decode`].
     pub fn decode(&self, reader: &mut BitReader<'_>) -> Result<u16, DecodeSymbolError> {
-        let available = reader.remaining_bits().min(usize::from(self.root_bits));
-        if available == 0 {
-            // Delegate so the error carries the right position.
-            return self.book.decode(reader);
-        }
-        // Peek without consuming: clone the (cheap) reader cursor.
-        let mut probe = reader.clone();
-        let peeked = probe.read_bits(available as u32).expect("length checked");
-        let index = (peeked as usize) << (usize::from(self.root_bits) - available);
-        let (symbol, len) = self.entries[index];
-        if len != ESCAPE && usize::from(len) <= available {
+        // Bits past the end peek as zero, so a slot only counts when its
+        // whole codeword lies inside the stream.
+        let (symbol, len) = self.entries[reader.peek_bits(u32::from(self.root_bits)) as usize];
+        if len != ESCAPE && usize::from(len) <= reader.remaining_bits() {
             reader.read_bits(u32::from(len)).expect("length checked");
             return Ok(symbol);
         }
-        // Over-long code (or truncated stream): canonical walk.
+        // Over-long code or truncated stream: the canonical walk decodes
+        // it or reports the error at the right position.
         self.book.decode(reader)
     }
 }
@@ -121,8 +115,20 @@ mod tests {
     use super::*;
     use cce_bitstream::BitWriter;
 
-    fn round_trip_both(freqs: &[u64], symbols: &[u16]) {
-        let book = CodeBook::from_frequencies(freqs, 15).unwrap();
+    /// Fibonacci weights: codes from 1 to 15 bits, so some exceed any
+    /// root width below 15.
+    fn fibonacci_book() -> CodeBook {
+        let freqs: Vec<u64> = (0..24)
+            .scan((1u64, 1u64), |s, _| {
+                let v = s.0;
+                *s = (s.1, s.0 + s.1);
+                Some(v)
+            })
+            .collect();
+        CodeBook::from_frequencies(&freqs, 15).unwrap()
+    }
+
+    fn round_trip_both(book: &CodeBook, symbols: &[u16]) {
         let table = book.decode_table();
         let mut w = BitWriter::new();
         for &s in symbols {
@@ -140,21 +146,13 @@ mod tests {
 
     #[test]
     fn matches_canonical_decoder_on_mixed_codes() {
-        // Fibonacci weights force codes both shorter and longer than 11.
-        let freqs: Vec<u64> = (0..24)
-            .scan((1u64, 1u64), |s, _| {
-                let v = s.0;
-                *s = (s.1, s.0 + s.1);
-                Some(v)
-            })
-            .collect();
         let symbols: Vec<u16> = (0..24).rev().chain(0..24).collect();
-        round_trip_both(&freqs, &symbols);
+        round_trip_both(&fibonacci_book(), &symbols);
     }
 
     #[test]
     fn single_symbol_code() {
-        round_trip_both(&[0, 5], &[1, 1, 1]);
+        round_trip_both(&CodeBook::from_frequencies(&[0, 5], 15).unwrap(), &[1, 1, 1]);
     }
 
     #[test]
@@ -176,6 +174,52 @@ mod tests {
         let table = book.decode_table();
         let mut r = BitReader::new(&[]);
         assert!(table.decode(&mut r).is_err());
+    }
+
+    /// Decodes from `start` to the first error with both decoders and
+    /// asserts every result, the error and each bit position agree.
+    fn assert_agrees_from(book: &CodeBook, table: &DecodeTable, bytes: &[u8], start: usize) {
+        let mut slow = BitReader::at_bit(bytes, start);
+        let mut fast = BitReader::at_bit(bytes, start);
+        loop {
+            let expected = book.decode(&mut slow);
+            assert_eq!(table.decode(&mut fast), expected, "start bit {start}");
+            assert_eq!(fast.bit_position(), slow.bit_position(), "start bit {start}");
+            if expected.is_err() {
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_and_over_long_codes_match_the_canonical_decoder() {
+        let book = fibonacci_book();
+        let mut w = BitWriter::new();
+        for s in (0..24u16).rev().chain(0..24) {
+            book.encode(&mut w, s);
+        }
+        let bytes = w.into_bytes();
+        for table in [book.decode_table(), book.decode_table_with_root(4)] {
+            // Every cut of the stream ends some codeword early; every
+            // start bit lands mid-codeword somewhere.
+            for cut in 0..=bytes.len() {
+                for start in 0..=(cut * 8).min(40) {
+                    assert_agrees_from(&book, &table, &bytes[..cut], start);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_symbol_code_reports_the_invalid_codeword_at_the_same_position() {
+        let book = CodeBook::from_frequencies(&[0, 5], 15).unwrap();
+        let table = book.decode_table();
+        // `0` bits decode; the `1` bit matches no codeword.
+        for bytes in [[0b0001_0000u8], [0xFF], [0]] {
+            for start in 0..=8 {
+                assert_agrees_from(&book, &table, &bytes, start);
+            }
+        }
     }
 
     #[test]

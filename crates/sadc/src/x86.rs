@@ -703,6 +703,35 @@ mod tests {
     }
 
     #[test]
+    fn read_source_cuts_block_ranges_from_reads_split_at_odd_offsets() {
+        use cce_codec::{BlockSource as _, ReadSource};
+        /// Returns 1 to 7 bytes per call.
+        struct Dribble<'a>(&'a [u8], usize);
+        impl std::io::Read for Dribble<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.1 += 1;
+                let n = (self.1 % 7 + 1).min(buf.len()).min(self.0.len());
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let text = idiomatic_program(60);
+        let codec = X86Sadc::train(&text, X86SadcConfig::default()).unwrap();
+        let expected: Vec<Vec<u8>> = BlockCodec::block_ranges(&codec, &text)
+            .unwrap()
+            .into_iter()
+            .map(|range| text[range].to_vec())
+            .collect();
+        let mut source = ReadSource::new(Dribble(&text, 0), BlockCodec::chunker(&codec));
+        let mut streamed = Vec::new();
+        while let Some(block) = source.next_block().unwrap() {
+            streamed.push(block);
+        }
+        assert_eq!(streamed, expected);
+    }
+
+    #[test]
     fn chunker_rejects_trailing_garbage_only_at_eof() {
         use cce_codec::Chunker as _;
         let mut text = idiomatic_program(2);

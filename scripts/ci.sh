@@ -47,8 +47,8 @@ EOF
 echo "== pipeline smoke (stream-compress a multi-MB ELF, decode to equality) =="
 # A ~4.2 MB generated workload goes through `compress --elf` (streaming,
 # bounded queue) and back through `decompress`; the rebuilt ELF's .text
-# must be byte-identical, and the recorded peak queue depth must stay
-# within the 2x-workers bound the pipeline promises.
+# must be byte-identical, and the recorded peak queue depth (in batches)
+# must stay within the 2x-workers bound the pipeline promises.
 pipe_workers=4
 pipe_elf="target/ci-pipeline.elf"
 pipe_cce="target/ci-pipeline.cce"
@@ -58,6 +58,12 @@ cargo run --release -q -p cce-core --bin cce -- gen go --scale 64 --seed 7 --mul
 CCE_WORKERS="$pipe_workers" cargo run --release -q -p cce-core --bin cce -- \
     compress --elf "$pipe_elf" -a huffman -o "$pipe_cce" --metrics "$pipe_metrics"
 cargo run --release -q -p cce-core --bin cce -- decompress "$pipe_cce" -o "$pipe_out"
+# The pipeline moves ~64 KiB batches between threads; the container must
+# not depend on how many workers shared them out.
+pipe_cce_serial="target/ci-pipeline-1worker.cce"
+CCE_WORKERS=1 cargo run --release -q -p cce-core --bin cce -- \
+    compress --elf "$pipe_elf" -a huffman -o "$pipe_cce_serial"
+cmp "$pipe_cce" "$pipe_cce_serial"
 python3 - "$pipe_elf" "$pipe_out" "$pipe_metrics" "$pipe_workers" <<'EOF'
 import json, struct, sys
 
